@@ -178,6 +178,19 @@ def build_plan_from(sc: Scenario, grid: GridSpec) -> ev.PropagatorPlan:
         raise ScenarioError(f"[dynamics]: {e}") from e
 
 
+def read_t_final(sc: Scenario, dt: float | None = None) -> float:
+    """[dynamics] t_final: positive and, given dt, a whole number of steps."""
+    t_final = sc.require("dynamics", "t_final")
+    if not 0 < t_final < np.inf:
+        raise ScenarioError(f"[dynamics]: t_final must be positive, got {t_final!r}")
+    if dt is not None:
+        try:
+            ev.step_count(t_final, dt)
+        except ValueError as e:
+            raise ScenarioError(f"[dynamics]: {e}") from e
+    return t_final
+
+
 def write_manifest(sc: Scenario, out_dir: Path) -> None:
     """Echo of the resolved configuration, sufficient to reproduce the run."""
     lines = [f"# koopman {__version__}", f"# scenario {sc.path.name}"]
@@ -226,18 +239,15 @@ def cmd_check_algebra(args) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFY
 
 
-def _free_closed_form_check(sc, grid, plan, w0, record, states, out_dir):
-    """Per-sample comparison against the exact free-particle solution."""
-    rows = []
-    for t, w in states:
-        ref, valid = chars.reference_solution(
-            w0, plan.masses, plan.potential, t, plan.formalism, flow_steps=8)
-        m = chars.compare(w, ref, valid_mask=valid)
-        rows.append((t, m.masked_linf, m.modulus_masked_linf, m.phase_masked_maxabs))
+def _free_closed_form_check(plan, w0, t, w, out_dir):
+    """The final state against the exact free-particle solution."""
+    ref, valid = chars.reference_solution(
+        w0, plan.masses, plan.potential, t, plan.formalism, flow_steps=8)
+    m = chars.compare(w, ref, valid_mask=valid)
+    row = (t, m.masked_linf, m.modulus_masked_linf, m.phase_masked_maxabs)
     with open(out_dir / "phase_check.csv", "w", newline="") as fh:
         fh.write("t,masked_linf,modulus_masked_linf,phase_masked_maxabs\n")
-        for r in rows:
-            fh.write(",".join(_fmt(v) for v in r) + "\n")
+        fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def cmd_evolve(args) -> int:
@@ -247,12 +257,13 @@ def cmd_evolve(args) -> int:
     grid = build_grid(sc)
     plan = build_plan_from(sc, grid)
     w0 = build_initial(sc, grid)
-    t_final = sc.require("dynamics", "t_final")
+    t_final = read_t_final(sc, plan.dt)
     sample_every = sc.get("dynamics", "sample_every", 1)
+    if sample_every < 1:
+        raise ScenarioError("[dynamics]: sample_every must be >= 1")
     out_dir = Path(args.out or sc.get("output", "dir", "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    check_states = []
     do_check = sc.get("checks", "closed_form", False)
     if do_check and plan.potential.kind != "free":
         raise ScenarioError("[checks] closed_form applies to free scenarios")
@@ -270,8 +281,7 @@ def cmd_evolve(args) -> int:
     record, w = ev.run(w0, plan, t_final, sample_every, on_sample=on_sample)
     record.to_csv(out_dir / "run.csv")
     if do_check:
-        check_states.append((t_final, w))
-        _free_closed_form_check(sc, grid, plan, w0, record, check_states, out_dir)
+        _free_closed_form_check(plan, w0, t_final, w, out_dir)
     if sc.get("output", "dump_state", False):
         dump_state(w, out_dir / "final.kvhw")
     write_manifest(sc, out_dir)
@@ -326,23 +336,20 @@ def cmd_covariance(args) -> int:
                 rows.append((formalism, g1.kind, g2.kind, g2.a, g1.v, g1.t,
                              phase.real, phase.imag, predicted.real,
                              predicted.imag, angle_err, residual))
-        header = ("formalism,g1,g2,a,v,t,phase_re,phase_im,"
-                  "predicted_re,predicted_im,angle_error,residual")
     elif tkind == "covariance":
         sweep_v = sc.get("transform", "sweep_v") or (sc.require("transform", "v"),)
-        t_final = sc.require("dynamics", "t_final")
+        t_final = read_t_final(sc)
         for v in sweep_v:
             r = ga.covariance_check(formalism, v, t_final, w0, mass)
             worst = max(worst, r.residual)
             rows.append((formalism, "boost+evolve", "evolve+boost", "", v,
                          t_final, r.phase.real, r.phase.imag, "", "", "",
                          r.residual))
-        header = ("formalism,g1,g2,a,v,t,phase_re,phase_im,"
-                  "predicted_re,predicted_im,angle_error,residual")
     else:
         raise ScenarioError(f"unknown transform kind {tkind!r}")
     with open(out_dir / "covariance.csv", "w", newline="") as fh:
-        fh.write(header + "\n")
+        fh.write("formalism,g1,g2,a,v,t,phase_re,phase_im,"
+                 "predicted_re,predicted_im,angle_error,residual\n")
         for r in rows:
             fh.write(",".join(v if isinstance(v, str) else _fmt(v) for v in r) + "\n")
     write_manifest(sc, out_dir)
@@ -358,7 +365,7 @@ def cmd_oracle(args) -> int:
     grid = build_grid(sc)
     plan = build_plan_from(sc, grid)
     w0 = build_initial(sc, grid)
-    t_final = sc.require("dynamics", "t_final")
+    t_final = read_t_final(sc, plan.dt)
     out_dir = Path(args.out or sc.get("output", "dir", "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     flow_steps = sc.get("oracle", "flow_steps")

@@ -1,31 +1,31 @@
 """Split-step spectral propagators for phase-space wavefunctions.
 
-The evolution generator splits into substeps that are each an exact
-pointwise phase in some representation:
+The generator splits as H = T + V; the projective rule f - p df/dp
+makes each part one exact flow, a pointwise phase after one fftn:
 
-  stream    free streaming: shift every q by p dt/m (q-spectral)
-  kick      force kick: shift every p by -dV/dq dt (p-spectral)
-  phase     scalar phase exp(+i dt (sum p^2/2m - V)) (physical space);
-            present only in the projective (kvh) and hybrid formalisms
-  qkinetic  quantum kinetic phase exp(-i dt k^2/2m) (x-spectral)
+  A (T part)  stream q by p tau/m, times exp(+i tau p^2/2m) in kvh and
+              hybrid, times exp(-i tau k^2/2m) on x (q- and x-spectral)
+  B (V part)  kick p by -dV/dq tau, times exp(-i tau V) in kvh and
+              hybrid (p-spectral; a plain multiplication without a kick)
 
-The step sequence is palindromic (Strang, second order); free-particle
-plans are exact for any dt.  Every substep is unitary up to rounding, so
-norms are preserved to ~1e-15 per step.
-
-Forces are never finite-differenced: the potential is a polynomial and
-its gradient is taken symbolically, then evaluated on the grid.
+A plan is a flat list of flows (FFT axes and multiplier factors); a
+step is the palindromic A(dt/2) B(dt) A(dt/2) (Strang, second order),
+and plans without a V part are the single A(dt), exact for any dt.
+Between samples ``run`` merges the trailing A(dt/2) of a step with the
+leading one of the next into A(dt) ("first same as last"), so a step
+costs two FFT pairs.  Every flow is unitary up to rounding, so norms
+are preserved to ~1e-15 per step.  Forces are never finite-differenced:
+the gradient of the polynomial potential is taken symbolically.
 
 A note on hybrid total momentum: the commutator of p+k with the hybrid
 generator equals i (d2V/dqdx) lam_p, so <p+k> is conserved (by the exact
 flow) only on states with <lam_p> = 0 and <lam_q> = <p>; for harmonic
 coupling the first moments close and the conservation is then exact.
-Under this palindromic splitting the kick and the scalar phase see the
-same frozen <q-x>, so their first-moment exchange cancels and the drift
-of <p+k> on such states sits at the O(dt^2) Strang level (verified to
-scale as dt^2), while a multiplication-only or force-only coupling
-drifts at O(1).  The classical two-particle case is stronger: the kick
-shifts p1 + p2 by exactly zero pointwise, so total momentum there is
+B fixes lam_p and A fixes p, k and lam_q, so each flow keeps both
+conditions and <p+k>: the drift sits at rounding (4e-14 over the 1000
+steps of scenarios/hybrid_harmonic.cfg), while a multiplication-only or
+force-only coupling drifts at O(1).  In the classical two-particle case
+the kick shifts p1 + p2 by exactly zero pointwise, so total momentum is
 conserved to rounding for any state and any dt.
 """
 
@@ -48,9 +48,6 @@ from .grid import (
     leakage,
     norm,
 )
-
-POTENTIAL_KINDS = ("free", "harmonic", "quartic", "pair", "hybrid_pair", "poly")
-
 
 class NumericalAbort(RuntimeError):
     """Raised when non-finite amplitudes appear during a run."""
@@ -81,11 +78,8 @@ class Potential:
         """-dV/dq per q axis (the kick shifts p by force * dt)."""
         out = {}
         for qname in grid.names("q"):
-            if self.cpoly is None:
-                out[qname] = 0.0
-                continue
-            d = self.cpoly.partial(qname)
-            out[qname] = -d.evaluate(self.bindings(grid)).real if not d.is_zero else 0.0
+            d = None if self.cpoly is None else self.cpoly.partial(qname)
+            out[qname] = 0.0 if d is None or d.is_zero else -d.evaluate(self.bindings(grid)).real
         return out
 
 
@@ -137,9 +131,50 @@ def make_potential(kind: str, grid: GridSpec, constants: Mapping | None = None,
     return Potential(kind, V, constants)
 
 
+@dataclass(frozen=True)
+class Flow:
+    """One exact flow: fftn over ``axes``, multiply by each of ``factors``
+    (kept in their broadcast shapes), ifftn back.  Without axes the
+    factors multiply in physical space."""
+    name: str                    # A (the T part) | B (the V part)
+    weight: float                # duration as a fraction of dt
+    axes: tuple
+    factors: tuple = field(compare=False, repr=False)
+
+    def apply(self, values: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """The flow applied to ``values``, whose memory it may reuse when
+        ``overwrite`` is set."""
+        if self.axes:
+            out = _fft(values, self.axes, overwrite)
+        else:
+            out = values if overwrite else values.copy()
+        for f in self.factors:
+            out *= f
+        return _ifft(out, self.axes, True) if self.axes else out
+
+
+def free_flow(grid: GridSpec, formalism: str, masses: Sequence[float],
+              tau: float, weight: float = 1.0) -> Flow:
+    """Flow A over time tau: stream each q by p tau/m, times
+    exp(+i tau p^2/2m) in kvh and hybrid, times exp(-i tau k^2/2m) on
+    each x axis; one factor per (q, p) pair and one per x axis."""
+    qn, pn, xn = grid.names("q"), grid.names("p"), grid.names("x")
+    factors = []
+    for (qname, pname), m in zip(zip(qn, pn), masses):
+        p = grid.coordinate(pname)
+        expo = grid.wavenumber(qname) * p / m
+        if formalism in ("kvh", "hybrid"):
+            expo = expo - p ** 2 / (2 * m)
+        factors.append(np.exp(-1j * tau * expo))
+    for xname, m in zip(xn, masses[len(qn):]):
+        factors.append(np.exp(-1j * tau * grid.wavenumber(xname) ** 2 / (2 * m)))
+    return Flow("A", weight, tuple(grid.index(n) for n in qn + xn), tuple(factors))
+
+
 @dataclass
 class PropagatorPlan:
-    """A grid-bound, palindromic substep sequence with cached multipliers."""
+    """A grid-bound, palindromic flat list of exact flows making one step:
+    (A(dt/2), B(dt), A(dt/2)), or (A(dt),) when there is no V part."""
     grid: GridSpec
     formalism: str               # kvn | kvh | hybrid
     masses: tuple                # classical (per q axis) then quantum (per x axis)
@@ -147,16 +182,7 @@ class PropagatorPlan:
     dt: float
     interaction: str = "full"    # full | potential_only | kick_only
     substeps: tuple = ()
-    _mult: dict = field(default_factory=dict, repr=False)
-    _axes: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def classical_masses(self) -> tuple:
-        return self.masses[: len(self.grid.names("q"))]
-
-    @property
-    def quantum_masses(self) -> tuple:
-        return self.masses[len(self.grid.names("q")):]
+    _a: dict = field(default_factory=dict, repr=False)   # weight -> A flow
 
 
 def build_plan(grid: GridSpec, formalism: str, masses: Sequence[float],
@@ -180,87 +206,54 @@ def build_plan(grid: GridSpec, formalism: str, masses: Sequence[float],
         raise ValueError("dt must be positive")
 
     plan = PropagatorPlan(grid, formalism, masses, potential, float(dt), interaction)
-
-    forces = potential.force_fields(grid)
-    has_kick = interaction != "potential_only" and any(
-        np.ndim(f) or f for f in forces.values())
-    has_phase = formalism in ("kvh", "hybrid")
-    has_qkin = bool(xn)
-
-    # momentum wrap check: a kick larger than half the p extent in one
-    # step aliases through the periodic boundary
-    for qname, pname in zip(qn, pn):
-        f = forces[qname]
-        fmax = float(np.max(np.abs(f))) if np.ndim(f) else abs(f)
-        if fmax * dt > grid.axis(pname).extent / 2:
-            warnings.warn(
-                f"dt={dt} kicks {pname} by up to {fmax * dt:.3g}, more than "
-                f"half the axis extent; momentum will wrap within one step",
-                RuntimeWarning, stacklevel=2)
-
-    layers = ["stream"]
-    if has_qkin:
-        layers.append("qkinetic")
-    if has_kick:
-        layers.append("kick")
-    if has_phase:
-        seq = [(k, 0.5) for k in layers] + [("phase", 1.0)] \
-            + [(k, 0.5) for k in reversed(layers)]
-    elif len(layers) == 1:
-        seq = [(layers[0], 1.0)]
-    else:
-        seq = [(k, 0.5) for k in layers[:-1]] + [(layers[-1], 1.0)] \
-            + [(k, 0.5) for k in reversed(layers[:-1])]
-    plan.substeps = tuple(seq)
-
-    # cache multipliers per distinct (kind, weight)
-    for kind, weight in set(seq):
-        tau = weight * dt
-        if kind == "stream":
-            expo = 0.0
-            for i, (qname, pname) in enumerate(zip(qn, pn)):
-                expo = expo + grid.wavenumber(qname) * grid.coordinate(pname) \
-                    / plan.classical_masses[i]
-            plan._mult[(kind, weight)] = np.exp(-1j * tau * expo)
-            plan._axes[(kind, weight)] = tuple(grid.index(n) for n in qn)
-        elif kind == "kick":
-            # shift p by force*tau: spectral phase exp(-i k_p * force * tau)
-            expo = 0.0
-            for qname, pname in zip(qn, pn):
-                expo = expo + grid.wavenumber(pname) * forces[qname]
-            plan._mult[(kind, weight)] = np.exp(-1j * tau * expo)
-            plan._axes[(kind, weight)] = tuple(grid.index(n) for n in pn)
-        elif kind == "phase":
-            scalar = 0.0
-            for i, pname in enumerate(pn):
-                scalar = scalar + grid.coordinate(pname) ** 2 \
-                    / (2 * plan.classical_masses[i])
-            if interaction != "kick_only":
-                scalar = scalar - potential.values(grid)
-            plan._mult[(kind, weight)] = np.exp(1j * tau * scalar)
-            plan._axes[(kind, weight)] = None
-        elif kind == "qkinetic":
-            expo = 0.0
-            for j, xname in enumerate(xn):
-                expo = expo + grid.wavenumber(xname) ** 2 \
-                    / (2 * plan.quantum_masses[j])
-            plan._mult[(kind, weight)] = np.exp(-1j * tau * expo)
-            plan._axes[(kind, weight)] = tuple(grid.index(n) for n in xn)
+    # B(dt) as one p-spectral factor exp(-i dt (sum k_p force + V)): the
+    # kick shifts each p by force*dt, and kvh and hybrid add exp(-i dt V)
+    terms, axes = [], ()
+    if interaction != "potential_only":
+        forces = potential.force_fields(grid)
+        for qname, pname in zip(qn, pn):
+            f = forces[qname]
+            if not (np.ndim(f) or f):
+                continue
+            # a kick of more than half the p extent in one step aliases
+            # through the periodic boundary
+            fmax = float(np.max(np.abs(f)))
+            if fmax * dt > grid.axis(pname).extent / 2:
+                warnings.warn(
+                    f"dt={dt} kicks {pname} by up to {fmax * dt:.3g}, more than "
+                    f"half the axis extent; momentum will wrap within one step",
+                    RuntimeWarning, stacklevel=2)
+            terms.append(grid.wavenumber(pname) * f)
+            axes += (grid.index(pname),)
+    if formalism != "kvn" and interaction != "kick_only" and potential.cpoly is not None:
+        terms.append(potential.values(grid))
+    if not terms:
+        plan.substeps = (free_flow(grid, formalism, masses, dt),)
+        return plan
+    plan._a = {w: free_flow(grid, formalism, masses, w * dt, w) for w in (0.5, 1.0)}
+    plan._a[0.0] = None
+    kick = Flow("B", 1.0, axes, (np.exp(-1j * dt * sum(terms)),))
+    plan.substeps = (plan._a[0.5], kick, plan._a[0.5])
     return plan
 
 
-def step(w: Wavefunction, plan: PropagatorPlan) -> Wavefunction:
-    """One full Strang step; norm-preserving to rounding."""
+def step(w: Wavefunction, plan: PropagatorPlan, lead: float = 0.5,
+         trail: float = 0.5) -> Wavefunction:
+    """A(lead dt) B(dt) A(trail dt); the defaults make one full Strang
+    step, norm-preserving to rounding.  ``run`` passes lead = 1 to absorb
+    the trailing half-flow a previous call left out with trail = 0.  A plan
+    without a V part is the exact A(dt), whatever the weights."""
     if w.grid != plan.grid:
         raise ValueError("wavefunction grid does not match the plan")
+    flows = plan.substeps
+    if len(flows) == 3:
+        if lead not in plan._a or trail not in plan._a:
+            raise ValueError("lead and trail weights must be 0, 0.5 or 1")
+        flows = (plan._a[lead], flows[1], plan._a[trail])
     v = w.values
-    for kind, weight in plan.substeps:
-        mult = plan._mult[(kind, weight)]
-        axes = plan._axes[(kind, weight)]
-        if axes is None:
-            v = v * mult
-        else:
-            v = _ifft(mult * _fft(v, axes), axes)
+    for flow in flows:
+        if flow is not None:
+            v = flow.apply(v, overwrite=v is not w.values)
     return Wavefunction(plan.grid, v)
 
 
@@ -294,7 +287,7 @@ def _observables(w: Wavefunction, plan: PropagatorPlan) -> dict:
     energy = 0.0
     for i, pname in enumerate(pn):
         energy += float(np.sum(dens * plan.grid.coordinate(pname) ** 2)) \
-            / (2 * plan.classical_masses[i]) / nrm2
+            / (2 * plan.masses[i]) / nrm2
     Vg = plan.potential.values(plan.grid)
     if np.ndim(Vg):
         energy += float(np.sum(dens * Vg)) / nrm2
@@ -304,7 +297,7 @@ def _observables(w: Wavefunction, plan: PropagatorPlan) -> dict:
         for j, xname in enumerate(xn):
             kw = apply_lambda(w, xname)
             k_mean += inner_product(w, kw).real / nrm2
-            energy += norm(kw) ** 2 / (2 * plan.quantum_masses[j]) / nrm2
+            energy += norm(kw) ** 2 / (2 * plan.masses[len(pn) + j]) / nrm2
     return {
         "norm": float(np.sqrt(nrm2)),
         "q_mean": q_mean,
@@ -316,19 +309,27 @@ def _observables(w: Wavefunction, plan: PropagatorPlan) -> dict:
     }
 
 
+def step_count(t_final: float, dt: float) -> int:
+    """The whole number of dt steps in t_final; ValueError otherwise."""
+    nsteps = int(round(t_final / dt))
+    if abs(nsteps * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
+        raise ValueError("t_final must be an integer multiple of dt")
+    return nsteps
+
+
 def run(w0: Wavefunction, plan: PropagatorPlan, t_final: float,
         sample_every: int = 1, on_sample=None):
     """Propagate to t_final (an integer number of steps), sampling
     observables every ``sample_every`` steps.  Returns (record, final).
 
+    Between samples the trailing A(dt/2) of each step merges into the
+    next step's leading one; sampled and returned states are closed.
     ``on_sample(step_index, t, w)``, when given, is called at every
     sampled time (including t = 0); used e.g. for state-dump cadence.
     Raises NumericalAbort (with the offending step index) if amplitudes
     stop being finite.
     """
-    nsteps = int(round(t_final / plan.dt))
-    if abs(nsteps * plan.dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
-        raise ValueError("t_final must be an integer multiple of dt")
+    nsteps = step_count(t_final, plan.dt)
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
     record = RunRecord()
@@ -336,9 +337,13 @@ def run(w0: Wavefunction, plan: PropagatorPlan, t_final: float,
     record.append(t=0.0, **_observables(w, plan))
     if on_sample is not None:
         on_sample(0, 0.0, w)
+    lead = 0.5
     for n in range(1, nsteps + 1):
-        w = step(w, plan)
-        if n % sample_every == 0 or n == nsteps:
+        sampled = n % sample_every == 0 or n == nsteps
+        trail = 0.5 if sampled else 0.0
+        w = step(w, plan, lead=lead, trail=trail)
+        lead = 1.0 - trail
+        if sampled:
             if not np.all(np.isfinite(w.values)):
                 raise NumericalAbort(n)
             record.append(t=n * plan.dt, **_observables(w, plan))

@@ -189,9 +189,6 @@ class CPoly:
             raise ValueError("polynomial is not constant")
         return next(iter(self.terms.values()))
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     # -- ring operations --------------------------------------------------
 
     def _check(self, other: "CPoly"):

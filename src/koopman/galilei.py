@@ -23,7 +23,7 @@ import numpy as np
 
 from . import ccr
 from .exactpoly import GaussianRational
-from .evolve import build_plan, make_potential, run
+from .evolve import build_plan, free_flow, make_potential, run
 from .grid import Wavefunction, inner_product, norm, shift
 
 
@@ -100,11 +100,7 @@ def act(g: GroupElement, w: Wavefunction) -> Wavefunction:
             out = Wavefunction(w.grid, out.values * phase)
         return out
     if g.kind == "free_time":
-        pc = w.grid.coordinate(pn)
-        out = shift(w, qn, g.t * pc / m)
-        if g.formalism == "kvh":
-            out = Wavefunction(w.grid, out.values * np.exp(1j * pc ** 2 * g.t / (2 * m)))
-        return out
+        return Wavefunction(w.grid, free_flow(w.grid, g.formalism, [m], g.t).apply(w.values))
     raise AssertionError(g.kind)
 
 

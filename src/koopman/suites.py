@@ -30,10 +30,6 @@ def _eps(i: int, j: int, k: int) -> int:
     return ccr._EPS3.get((i, j, k), 0)
 
 
-def _axis_ops(alg: Algebra, base: str):
-    return {a: alg.op(f"{base}{a}") for a in range(1, 4)}
-
-
 # ---------------------------------------------------------------------------
 # canonical commutators
 # ---------------------------------------------------------------------------

@@ -133,6 +133,34 @@ def test_config_errors(tmp_path, capsys):
     unparsable.write_text("[run\nkind =")
     assert cli.main(["evolve", str(unparsable)]) == cli.EXIT_CONFIG
 
+    # malformed time settings: one-line messages, no traceback
+    capsys.readouterr()
+
+    def one_line_error(argv, needle):
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert needle in err
+
+    cov = tmp_path / "cov.cfg"
+    cov.write_text(open("scenarios/covariance_kvh.cfg").read()
+                   .replace("t_final = 0.5", "t_final = 0.0"))
+    one_line_error(["covariance", str(cov), "--out", str(tmp_path / "c")],
+                   "t_final must be positive")
+    offgrid = tmp_path / "offgrid.cfg"
+    offgrid.write_text(TINY_EVOLVE.replace("t_final = 0.1", "t_final = 0.105"))
+    one_line_error(["evolve", str(offgrid), "--out", str(tmp_path / "e")],
+                   "integer multiple of dt")
+    oracle = tmp_path / "oracle.cfg"
+    oracle.write_text(open("scenarios/oracle_free_kvh.cfg").read()
+                      .replace("t_final = 0.5", "t_final = 0.52"))
+    one_line_error(["oracle", str(oracle), "--out", str(tmp_path / "o")],
+                   "integer multiple of dt")
+    nosample = tmp_path / "nosample.cfg"
+    nosample.write_text(TINY_EVOLVE.replace("sample_every = 5", "sample_every = 0"))
+    one_line_error(["evolve", str(nosample), "--out", str(tmp_path / "s")],
+                   "sample_every")
+
 
 def test_numerical_abort_exit_code(tiny_cfg, monkeypatch, tmp_path):
     def boom(*a, **k):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koopman import evolve as ev
 from koopman.grid import Axis, GridSpec, Wavefunction, gaussian_init, norm
@@ -13,25 +15,36 @@ GRID = make_grid()
 W0 = gaussian_init(GRID, centers=(0.0, 2.0), widths=(1.0, 1.0))
 
 
-def _kinds(plan):
-    return [k for k, _ in plan.substeps]
+def _flows(plan):
+    return [(f.name, f.weight, f.axes) for f in plan.substeps]
 
 
 def test_plan_shapes():
+    # two exact flows: A (T part) is diagonal after an fftn over the q and
+    # x axes, B (V part) after an fftn over the p axes
     free = ev.make_potential("free", GRID)
     harm = ev.make_potential("harmonic", GRID, {"kappa": 1.0})
-    assert _kinds(ev.build_plan(GRID, "kvn", [1.0], free, 0.1)) == ["stream"]
-    assert _kinds(ev.build_plan(GRID, "kvh", [1.0], free, 0.1)) \
-        == ["stream", "phase", "stream"]
-    assert _kinds(ev.build_plan(GRID, "kvn", [1.0], harm, 0.1)) \
-        == ["stream", "kick", "stream"]
-    assert _kinds(ev.build_plan(GRID, "kvh", [1.0], harm, 0.1)) \
-        == ["stream", "kick", "phase", "kick", "stream"]
+    a, b = ("A", 0.5, (0,)), ("B", 1.0, (1,))
+    for formalism in ("kvn", "kvh"):
+        assert _flows(ev.build_plan(GRID, formalism, [1.0], free, 0.1)) \
+            == [("A", 1.0, (0,))]
+        assert _flows(ev.build_plan(GRID, formalism, [1.0], harm, 0.1)) == [a, b, a]
+    # without the kick, B is a plain multiplication by exp(-i dt V), and
+    # kvn, which has no V phase, is left with the exact free flow
+    assert _flows(ev.build_plan(GRID, "kvh", [1.0], harm, 0.1,
+                                interaction="potential_only")) == [a, ("B", 1.0, ()), a]
+    assert _flows(ev.build_plan(GRID, "kvn", [1.0], harm, 0.1,
+                                interaction="potential_only")) == [("A", 1.0, (0,))]
     g3 = make_grid("qpx", 32)
     hyb = ev.make_potential("hybrid_pair", g3, {"kappa": 1.0})
     plan = ev.build_plan(g3, "hybrid", [1.0, 1.0], hyb, 0.01)
-    assert _kinds(plan) == ["stream", "qkinetic", "kick", "phase",
-                            "kick", "qkinetic", "stream"]
+    assert _flows(plan) == [("A", 0.5, (0, 2)), b, ("A", 0.5, (0, 2))]
+    # multipliers stay in their broadcast shapes: one (q, p) factor and
+    # one x factor for A, one full factor for B
+    assert [f.shape for f in plan.substeps[0].factors] == [(32, 32, 1), (1, 1, 32)]
+    assert [f.shape for f in plan.substeps[1].factors] == [(32, 32, 32)]
+    assert _flows(ev.build_plan(g3, "hybrid", [1.0, 1.0], ev.make_potential("free", g3),
+                                0.01)) == [("A", 1.0, (0, 2))]
 
 
 def test_plans_are_palindromic():
@@ -43,6 +56,45 @@ def test_plans_are_palindromic():
         pot = ev.make_potential(pot_kind, g)
         plan = ev.build_plan(g, formalism, masses, pot, 0.01)
         assert list(plan.substeps) == list(reversed(plan.substeps))
+
+
+# formalism -> (grid axes, masses, potential kinds) for the property tests
+PROPERTY_CASES = {
+    "kvn": ("qp", [1.3], ("free", "harmonic", "quartic")),
+    "kvh": ("qp", [0.7], ("free", "harmonic", "quartic")),
+    "hybrid": ("qpx", [1.0, 0.6], ("free", "hybrid_pair")),
+}
+
+
+@st.composite
+def random_runs(draw):
+    """A plan on a small grid, a random normalized state, a whole number
+    of steps and a sampling cadence."""
+    formalism = draw(st.sampled_from(sorted(PROPERTY_CASES)))
+    axes, masses, kinds = PROPERTY_CASES[formalism]
+    g = make_grid(axes, 16 if axes == "qp" else 8)
+    pot = ev.make_potential(draw(st.sampled_from(kinds)), g)
+    interaction = draw(st.sampled_from(("full", "potential_only", "kick_only")))
+    plan = ev.build_plan(g, formalism, masses, pot, draw(st.floats(1e-3, 0.1)),
+                         interaction)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    w0 = Wavefunction(g, values / np.sqrt(np.sum(np.abs(values) ** 2) * g.cell_weight))
+    return plan, w0, draw(st.integers(1, 12)), draw(st.integers(1, 6))
+
+
+@pytest.mark.filterwarnings("ignore:dt=.*wrap:RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(random_runs())
+def test_fused_run_equals_stepwise_and_is_unitary(case):
+    plan, w0, nsteps, sample_every = case
+    rec, w_run = ev.run(w0, plan, nsteps * plan.dt, sample_every)
+    w = w0
+    for _ in range(nsteps):
+        w = ev.step(w, plan)
+    assert np.max(np.abs(w_run.values - w.values)) <= 1e-12
+    assert np.max(np.abs(rec.series("norm") - 1.0)) <= 1e-12
+    assert abs(norm(w_run) - 1.0) <= 1e-12
 
 
 def test_build_plan_validation():
