@@ -9,7 +9,7 @@ sectors exchange momentum while <p> + <k> stays constant; keeping only
 the multiplication piece remains translation invariant yet visibly
 pumps total momentum.
 
-Run time is a couple of minutes on the full 64^3 grid.
+Run time is under a minute on the full 64^3 grid.
 """
 
 import numpy as np
@@ -50,5 +50,6 @@ print("\nnote: the exact commutator of p + k with the hybrid generator is")
 print("i (d2V/dqdx) lam_p, so strict conservation needs states whose phase")
 print("gradient matches the momentum (<lam_p> = 0, <lam_q> = <p>).  The")
 print("real packet at rest used here satisfies that, which is why the")
-print("full-coupling run conserves the total to second-order splitting")
-print("accuracy while the multiplication-only run loses it outright.")
+print("full-coupling run conserves the total to rounding (the force kick")
+print("and the -V phase act in one exact flow) while the multiplication-only")
+print("run loses it outright.")
