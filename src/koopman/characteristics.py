@@ -29,17 +29,18 @@ from .grid import Wavefunction, inner_product, phase_mask
 
 _RK4_NODES = (0.0, 0.5, 0.5, 1.0)
 _RK4_WEIGHTS = (1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0)
+# Seeds per block of the RK4 flow.  The compiled potential's temporaries
+# (64 KiB here) then stay under glibc's default 128 KiB mmap threshold,
+# so they are not mapped and zero-filled afresh at every stage.
+_FLOW_BLOCK = 8192
 
 
 @dataclass
 class TrajectoryBundle:
-    """Flow samples and accumulated action for a batch of seeds.
+    """Start and end of the flow for a batch of seeds, with the action.
 
-    positions/momenta have shape (ntimes, nseeds, npairs); action has
-    shape (ntimes, nseeds).  The time grid is uniform and may run
-    backward (negative t_final).
+    positions/momenta have shape (2, nseeds, npairs), action (2, nseeds).
     """
-    times: np.ndarray
     positions: np.ndarray
     momenta: np.ndarray
     action: np.ndarray
@@ -51,118 +52,92 @@ class TrajectoryBundle:
         kin = np.zeros(self.positions.shape[:2])
         for d, m in enumerate(self.masses):
             kin += self.momenta[:, :, d] ** 2 / (2 * m)
-        return kin + _potential_values(self.potential, self.qnames, self.positions)
+        if self.potential.cpoly is None:
+            return kin
+        bindings = dict(self.potential.constants)
+        for d, name in enumerate(self.qnames):
+            bindings[name] = self.positions[..., d]
+        return kin + self.potential.cpoly.evaluate(bindings).real
 
     def energy_drift(self) -> float:
         e = self.energies()
         return float(np.max(np.abs(e - e[0])))
 
-    def to_csv(self, path) -> None:
-        npair = len(self.qnames)
-        if npair == 1:
-            head = ["seed_q", "seed_p", "t", "q", "p", "S", "energy"]
-        else:
-            head = [f"seed_q{i+1}" for i in range(npair)] \
-                 + [f"seed_p{i+1}" for i in range(npair)] + ["t"] \
-                 + [f"q{i+1}" for i in range(npair)] \
-                 + [f"p{i+1}" for i in range(npair)] + ["S", "energy"]
-        en = self.energies()
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(head) + "\n")
-            for s in range(self.positions.shape[1]):
-                seed = list(self.positions[0, s]) + list(self.momenta[0, s])
-                for it, t in enumerate(self.times):
-                    row = seed + [t] + list(self.positions[it, s]) \
-                        + list(self.momenta[it, s]) \
-                        + [self.action[it, s], en[it, s]]
-                    fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def _potential_values(potential: Potential, qnames: Sequence[str], Q: np.ndarray):
-    """V evaluated at positions Q[..., d]; zero for the free case."""
-    if potential.cpoly is None:
-        return np.zeros(Q.shape[:-1])
-    bindings = dict(potential.constants)
-    for d, name in enumerate(qnames):
-        bindings[name] = Q[..., d]
-    return potential.cpoly.evaluate(bindings).real
-
-
-def _force_functions(potential: Potential, qnames: Sequence[str]):
-    grads = {}
-    for name in qnames:
-        grads[name] = None if potential.cpoly is None else potential.cpoly.partial(name)
-
-    def force(Q: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(Q)
-        bindings = dict(potential.constants)
-        for d, name in enumerate(qnames):
-            bindings[name] = Q[..., d]
-        for d, name in enumerate(qnames):
-            g = grads[name]
-            if g is not None and not g.is_zero:
-                out[..., d] = -g.evaluate(bindings).real
-        return out
-
-    return force
-
 
 def integrate_flow(masses: Sequence[float], potential: Potential,
                    qnames: Sequence[str], seeds: np.ndarray,
-                   t_final: float, steps: int,
-                   record_every: int | None = None) -> TrajectoryBundle:
+                   t_final: float, steps: int) -> TrajectoryBundle:
     """Fixed-step RK4 for dq = p/m, dp = -dV/dq, dS = sum p^2/2m - V.
 
     ``seeds`` has shape (n, 2*npairs): q columns then p columns.
     Negative t_final integrates backward (the action integral is then
     the backward accumulation; negate it for the forward action).
+    V and its gradient are compiled once.  Seeds are integrated in
+    blocks, and every stage writes into arrays allocated before the
+    first block.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
-    npair = len(tuple(qnames))
+    qnames = tuple(qnames)
+    npair = len(qnames)
     if seeds.shape[1] != 2 * npair:
         raise ValueError("seeds must have q columns then p columns")
-    record_every = record_every or steps
-    if steps % record_every:
-        raise ValueError("record_every must divide steps")
     masses = np.asarray(masses, dtype=float)
-    force = _force_functions(potential, qnames)
+    twice_masses = 2 * masses
     h = t_final / steps
+    if potential.cpoly is None:
+        V, forces = None, []
+    else:
+        V = potential.cpoly.compile()
+        grads = enumerate(potential.cpoly.partial(name) for name in qnames)
+        forces = [(d, g.compile()) for d, g in grads if not g.is_zero]
+    bindings = dict(potential.constants)
 
     Q = seeds[:, :npair].copy()
     P = seeds[:, npair:].copy()
     S = np.zeros(len(seeds))
-    times = [0.0]
-    qs, ps, ss = [Q.copy()], [P.copy()], [S.copy()]
+    # work arrays for one block of seeds: a stage's derivatives, the
+    # weighted stage sums, the next stage's arguments and scratch
+    nb = max(1, min(_FLOW_BLOCK, len(seeds)))
+    pair_work = np.zeros((8, nb, npair))
+    action_work = np.zeros((3, nb))
 
-    def derivs(Qc, Pc):
-        dQ = Pc / masses
-        dP = force(Qc)
-        dS = np.sum(Pc ** 2 / (2 * masses), axis=-1) \
-            - _potential_values(potential, qnames, Qc)
-        return dQ, dP, dS
-
-    for n in range(1, steps + 1):
-        kq, kp, ks = [], [], []
-        for stage, node in enumerate(_RK4_NODES):
-            if stage == 0:
-                dQ, dP, dS = derivs(Q, P)
-            else:
-                dQ, dP, dS = derivs(Q + h * node * kq[stage - 1],
-                                    P + h * node * kp[stage - 1])
-            kq.append(dQ); kp.append(dP); ks.append(dS)
-        Q = Q + h * sum(w * k for w, k in zip(_RK4_WEIGHTS, kq))
-        P = P + h * sum(w * k for w, k in zip(_RK4_WEIGHTS, kp))
-        S = S + h * sum(w * k for w, k in zip(_RK4_WEIGHTS, ks))
-        if n % record_every == 0:
-            times.append(n * h)
-            qs.append(Q.copy()); ps.append(P.copy()); ss.append(S.copy())
+    for lo in range(0, len(seeds), nb):
+        Qb, Pb, Sb = Q[lo:lo + nb], P[lo:lo + nb], S[lo:lo + nb]
+        kq, kp, aq, ap, Qs, Ps, tq, tp = pair_work[:, :len(Qb)]
+        ks, as_, ts = action_work[:, :len(Qb)]
+        for _ in range(steps):
+            Qc, Pc = Qb, Pb
+            for acc in (aq, ap, as_):
+                acc.fill(0.0)
+            for stage, w in enumerate(_RK4_WEIGHTS):
+                np.divide(Pc, masses, out=kq)
+                for d, name in enumerate(qnames):
+                    bindings[name] = Qc[:, d]
+                for d, force in forces:
+                    np.negative(force(bindings), out=kp[:, d])
+                np.divide(np.square(Pc, out=tp), twice_masses, out=tp)
+                ks.fill(0.0)      # by columns: np.sum over a short last axis is slow
+                for d in range(npair):
+                    ks += tp[:, d]
+                if V is not None:
+                    ks -= V(bindings)
+                aq += np.multiply(kq, w, out=tq)
+                ap += np.multiply(kp, w, out=tp)
+                as_ += np.multiply(ks, w, out=ts)
+                if stage < 3:
+                    c = h * _RK4_NODES[stage + 1]
+                    Qc = np.add(Qb, np.multiply(kq, c, out=Qs), out=Qs)
+                    Pc = np.add(Pb, np.multiply(kp, c, out=Ps), out=Ps)
+            Qb += np.multiply(aq, h, out=aq)
+            Pb += np.multiply(ap, h, out=ap)
+            Sb += np.multiply(as_, h, out=as_)
 
     return TrajectoryBundle(
-        times=np.array(times), positions=np.array(qs), momenta=np.array(ps),
-        action=np.array(ss), masses=tuple(masses), potential=potential,
-        qnames=tuple(qnames))
+        positions=np.array([seeds[:, :npair], Q]), momenta=np.array([seeds[:, npair:], P]),
+        action=np.array([np.zeros_like(S), S]),
+        masses=tuple(masses), potential=potential, qnames=qnames)
 
 
 # ---------------------------------------------------------------------------

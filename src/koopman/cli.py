@@ -101,8 +101,11 @@ def parse_scenario(path) -> Scenario:
             cp.read_file(fh)
     except OSError as e:
         raise ScenarioError(f"cannot read {path}: {e}") from e
-    except configparser.Error as e:
-        raise ScenarioError(f"config parse error: {e}") from e
+    except configparser.Error as e:      # first line of the message, and the line number
+        first = str(e).splitlines()[0]
+        line = getattr(e, "lineno", None) or getattr(e, "errors", [(None,)])[0][0]
+        where = f" (line {line})" if line and "[line" not in first else ""
+        raise ScenarioError(f"config parse error: {first}{where}") from e
 
     sections: dict = {}
     for sec in cp.sections():

@@ -304,7 +304,7 @@ class CPoly:
         return CPoly(self.symbols, {e: c.conjugate() for e, c in self.terms.items()})
 
     def evaluate(self, bindings: Mapping[str, object]):
-        """Evaluate with every symbol bound; deterministic term order.
+        """Evaluate with every symbol bound (see ``compile``).
 
         Values may be scalars or numpy arrays (broadcasting applies).
         Raises ValueError for unbound symbols.
@@ -312,15 +312,36 @@ class CPoly:
         missing = [s for s in self.symbols if s not in bindings]
         if missing:
             raise ValueError(f"unbound symbols: {missing}")
-        vals = [bindings[s] for s in self.symbols]
-        out = 0
-        for expo in sorted(self.terms, key=_term_order_key):
-            term = complex(self.terms[expo])
-            for v, e in zip(vals, expo):
-                if e:
-                    term = term * v ** e
-            out = out + term
-        return out
+        return self.compile()(bindings)
+
+    def compile(self):
+        """Numeric evaluator ``f(bindings)`` for repeated use.
+
+        Coefficients become floats, or complex numbers when some
+        imaginary part is nonzero, so real polynomials give real results.
+        Terms are summed in the deterministic rendering order, and each
+        power of a bound value is computed once per call.
+        """
+        real = all(c.im == 0 for c in self.terms.values())
+        terms = [
+            (float(self.terms[expo].re) if real else complex(self.terms[expo]),
+             tuple((s, e) for s, e in zip(self.symbols, expo) if e))
+            for expo in sorted(self.terms, key=_term_order_key)
+        ]
+        powers = {f for _, factors in terms for f in factors}
+
+        def evaluate(bindings: Mapping[str, object]):
+            table = {(s, e): bindings[s] if e == 1 else bindings[s] ** e
+                     for s, e in powers}
+            out = 0.0 if real else 0j
+            for coeff, factors in terms:
+                term = coeff
+                for f in factors:
+                    term = term * table[f]
+                out = out + term
+            return out
+
+        return evaluate
 
     # -- rendering ---------------------------------------------------------
 

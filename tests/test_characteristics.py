@@ -135,11 +135,56 @@ def test_compare_grid_mismatch():
         ch.compare(W0, other)
 
 
-def test_bundle_csv(tmp_path):
-    seeds = np.array([[1.0, 2.0]])
-    b = ch.integrate_flow([1.0], HARMONIC, ("q",), seeds, 1.0, 8, record_every=2)
-    path = tmp_path / "flow.csv"
-    b.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "seed_q,seed_p,t,q,p,S,energy"
-    assert len(lines) == 1 + 5  # header + t=0 and 4 recorded times
+def _plain_rk4(masses, force, potential, seeds, t_final, steps):
+    """Textbook RK4 on (q, p, S), written out with the forces by hand."""
+    m = np.asarray(masses)
+    n = len(m)
+
+    def rhs(z):
+        q, p = z[:, :n], z[:, n:2 * n]
+        ds = np.sum(p ** 2 / (2 * m), axis=1) - potential(q)
+        return np.concatenate([p / m, force(q), ds[:, None]], axis=1)
+
+    z = np.concatenate([seeds, np.zeros((len(seeds), 1))], axis=1)
+    h = t_final / steps
+    for _ in range(steps):
+        k1 = rhs(z)
+        k2 = rhs(z + h / 2 * k1)
+        k3 = rhs(z + h / 2 * k2)
+        k4 = rhs(z + h * k3)
+        z = z + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return z[:, :n], z[:, n:2 * n], z[:, 2 * n]
+
+
+PAIR_GRID = GridSpec(tuple(Axis(n, n[0], -8.0, 16.0, 8)
+                           for n in ("q1", "q2", "p1", "p2")))
+HAND_CODED = {   # kind: (grid, constants, masses, force, V)
+    "free": (GRID, {}, [1.3], lambda q: 0 * q, lambda q: 0 * q[:, 0]),
+    "harmonic": (GRID, {"kappa": 0.8}, [0.7], lambda q: -0.8 * q,
+                 lambda q: 0.4 * q[:, 0] ** 2),
+    "quartic": (GRID, {"alpha": 0.5}, [1.0], lambda q: -0.5 * q ** 3,
+                lambda q: 0.125 * q[:, 0] ** 4),
+    "pair": (PAIR_GRID, {"kappa": 1.7}, [0.6, 1.9],
+             lambda q: 1.7 * (q[:, ::-1] - q),
+             lambda q: 0.85 * (q[:, 0] - q[:, 1]) ** 2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(HAND_CODED))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("t_final", [0.9, -0.6])
+def test_flow_matches_plain_rk4(kind, seed, t_final):
+    grid, constants, masses, force, potential = HAND_CODED[kind]
+    pot = ev.make_potential(kind, grid, constants)
+    qnames = grid.names("q")
+    rng = np.random.default_rng(seed)
+    # more seeds than one block, so the last block is a partial one
+    seeds = rng.uniform(-2.0, 2.0, size=(ch._FLOW_BLOCK + 37, 2 * len(qnames)))
+    b = ch.integrate_flow(masses, pot, qnames, seeds, t_final, 40)
+    q, p, s = _plain_rk4(masses, force, potential, seeds, t_final, 40)
+    np.testing.assert_allclose(b.positions[-1], q, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(b.momenta[-1], p, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(b.action[-1], s, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(b.positions[0], seeds[:, :len(qnames)])
+    assert np.array_equal(b.momenta[0], seeds[:, len(qnames):])
+    assert not b.action[0].any()

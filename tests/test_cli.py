@@ -129,11 +129,6 @@ def test_config_errors(tmp_path, capsys):
     assert cli.main(["evolve", str(badval)]) == cli.EXIT_CONFIG
     assert "bad value" in capsys.readouterr().err
 
-    unparsable = tmp_path / "unparsable.cfg"
-    unparsable.write_text("[run\nkind =")
-    assert cli.main(["evolve", str(unparsable)]) == cli.EXIT_CONFIG
-
-    # malformed time settings: one-line messages, no traceback
     capsys.readouterr()
 
     def one_line_error(argv, needle):
@@ -142,6 +137,15 @@ def test_config_errors(tmp_path, capsys):
         assert err.startswith("config error:") and err.count("\n") == 1
         assert needle in err
 
+    # unparsable files: first line of the parser's message and the line number
+    unparsable = tmp_path / "unparsable.cfg"
+    unparsable.write_text("[run\nkind =")
+    one_line_error(["evolve", str(unparsable)], "no section headers. (line 1)")
+    dangling = tmp_path / "dangling.cfg"
+    dangling.write_text("[run]\nkind = evolve\norphan\n")
+    one_line_error(["evolve", str(dangling)], "(line 3)")
+
+    # malformed time settings: one-line messages, no traceback
     cov = tmp_path / "cov.cfg"
     cov.write_text(open("scenarios/covariance_kvh.cfg").read()
                    .replace("t_final = 0.5", "t_final = 0.0"))

@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koopman.exactpoly import CPoly, GaussianRational, I, SymbolMismatch, ring
 
@@ -119,6 +123,55 @@ def test_eval_is_ring_homomorphism():
         lhs = (a + b).evaluate(bindings)
         rhs = a.evaluate(bindings) + b.evaluate(bindings)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+SYMBOLS = ("q", "p", "m")
+_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=9)
+
+
+@st.composite
+def laurent_polys(draw):
+    """Laurent CPolys over SYMBOLS, real-only or with complex coefficients."""
+    real_only = draw(st.booleans())
+    coeff = st.builds(GaussianRational, _rationals,
+                      st.just(0) if real_only else _rationals)
+    expo = st.tuples(*[st.integers(-2, 3)] * len(SYMBOLS))
+    return CPoly(SYMBOLS, draw(st.dictionaries(expo, coeff, max_size=6)))
+
+
+def _exact_terms(poly, point):
+    # Fraction arithmetic only: Gaussian-rational coefficient times exact powers
+    out = []
+    for expo, c in poly.terms.items():
+        mono = Fraction(1)
+        for s, e in zip(SYMBOLS, expo):
+            mono *= point[s] ** e
+        out.append(c * mono)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurent_polys(),
+       st.fixed_dictionaries({s: _rationals.filter(bool) for s in SYMBOLS}),
+       st.sampled_from(SYMBOLS))
+def test_compile_matches_exact_evaluation(poly, point, unbound):
+    terms = _exact_terms(poly, point)
+    exact = complex(sum(terms, GaussianRational(0)))
+    scale = sum(abs(complex(t)) for t in terms)
+    bindings = {s: float(v) for s, v in point.items()}
+    got = poly.compile()(bindings)
+    assert abs(complex(got) - exact) <= 1e-12 * scale
+    real = all(c.im == 0 for c in poly.terms.values())
+    assert np.asarray(got).dtype.kind == ("f" if real else "c")
+    # arrays broadcast (constants stay scalars) and keep the dtype rule
+    arr = np.asarray(poly.compile()({s: np.full((2, 1), v) for s, v in bindings.items()}))
+    assert arr.shape == (() if poly.is_constant else (2, 1))
+    assert arr.dtype.kind == ("f" if real else "c")
+    assert np.all(np.abs(arr - exact) <= 1e-12 * scale)
+    assert poly.evaluate(bindings) == got
+    del bindings[unbound]
+    with pytest.raises(ValueError, match="unbound"):
+        poly.evaluate(bindings)
 
 
 def test_symbol_set_mismatch():
