@@ -21,34 +21,27 @@ and an exact relation checker used by the verification suites.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .exactpoly import CPoly, GaussianRational, I, SymbolMismatch
 
-_CLASSICAL_KINDS = ("pos", "mom", "lam_pos", "lam_mom")
-_QUANTUM_KINDS = ("pos", "mom")
-_BASE_NAMES = {
-    ("classical", "pos"): "q",
-    ("classical", "mom"): "p",
-    ("classical", "lam_pos"): "lam_q",
-    ("classical", "lam_mom"): "lam_p",
-    ("quantum", "pos"): "x",
-    ("quantum", "mom"): "k",
-}
-# multiplication operators vs derivative operators; the normal order keeps
-# the whole multiplication class to the left so products born from the
-# assignment rules are already ordered
-_DERIVATIVE = {("classical", "lam_pos"), ("classical", "lam_mom"), ("quantum", "mom")}
-_CLASS_RANK = {
-    ("classical", "pos"): 0,
-    ("classical", "mom"): 1,
-    ("quantum", "pos"): 2,
-    ("classical", "lam_pos"): 0,
-    ("classical", "lam_mom"): 1,
-    ("quantum", "mom"): 2,
-}
+# (sector, kind, base name) in normal order: the multiplication operators,
+# then the derivative operators in the same order, so the i-th derivative
+# kind is conjugate to the i-th multiplication kind.  Keeping the whole
+# multiplication class to the left means that the products born from the
+# assignment rules are already ordered.
+_KINDS = (
+    ("classical", "pos", "q"),
+    ("classical", "mom", "p"),
+    ("quantum", "pos", "x"),
+    ("classical", "lam_pos", "lam_q"),
+    ("classical", "lam_mom", "lam_p"),
+    ("quantum", "mom", "k"),
+)
+_BASE_NAMES = {(sector, kind): base for sector, kind, base in _KINDS}
 
 
 @dataclass(frozen=True)
@@ -61,20 +54,10 @@ class GeneratorId:
     def __post_init__(self):
         if self.sector not in ("classical", "quantum"):
             raise ValueError(f"bad sector {self.sector!r}")
-        kinds = _CLASSICAL_KINDS if self.sector == "classical" else _QUANTUM_KINDS
-        if self.kind not in kinds:
+        if (self.sector, self.kind) not in _BASE_NAMES:
             raise ValueError(f"bad kind {self.kind!r} for sector {self.sector!r}")
         if self.particle < 1 or self.axis < 1:
             raise ValueError("particle and axis indices are 1-based")
-
-    @property
-    def order_key(self) -> tuple:
-        sk = (self.sector, self.kind)
-        return (sk in _DERIVATIVE, _CLASS_RANK[sk], self.particle, self.axis)
-
-    @property
-    def is_multiplication(self) -> bool:
-        return (self.sector, self.kind) not in _DERIVATIVE
 
 
 @dataclass(frozen=True)
@@ -85,7 +68,8 @@ class ParticleSpec:
 
 
 class Algebra:
-    """A fixed particle layout, its generators, and their commutator table."""
+    """A fixed particle layout, its generators in normal order, and their
+    conjugate pairs."""
 
     def __init__(self, particles: Sequence[ParticleSpec], constants: Iterable[str] = ()):
         self.particles = tuple(particles)
@@ -104,18 +88,22 @@ class Algebra:
         self.central_symbols = tuple(masses) + ("t",) + tuple(
             c for c in constants if c not in masses and c != "t"
         )
-        gens = []
-        for n, p in enumerate(self.particles, start=1):
-            kinds = _CLASSICAL_KINDS if p.sector == "classical" else _QUANTUM_KINDS
-            for kind in kinds:
-                for axis in range(1, p.dim + 1):
-                    gens.append(GeneratorId(p.sector, kind, n, axis))
-        self.generators = tuple(sorted(gens, key=lambda g: g.order_key))
-        self._names = {g: self._make_name(g) for g in self.generators}
-        self._by_name = {v: k for k, v in self._names.items()}
-        self.mult_symbols = tuple(
-            self._names[g] for g in self.generators if g.is_multiplication
+        gens = tuple(
+            GeneratorId(sector, kind, n, axis)
+            for sector, kind, _ in _KINDS
+            for n, p in enumerate(self.particles, start=1) if p.sector == sector
+            for axis in range(1, self.dim + 1)
         )
+        # every particle has as many derivative kinds as multiplication
+        # kinds, so the first half of the normal order multiplies and the
+        # second half lists the conjugate derivatives in the same order
+        half = len(gens) // 2
+        self.generators = gens
+        self.rank = {g: i for i, g in enumerate(gens)}
+        self.conjugate = dict(zip(gens, gens[half:] + gens[:half]))
+        self._names = {g: self._make_name(g) for g in gens}
+        self._by_name = {v: k for k, v in self._names.items()}
+        self.mult_symbols = tuple(self._names[g] for g in gens[:half])
         # symbol set for phase-space observables f(q, p[, x]); central
         # parameters first so monomials render as e.g. m*q, kappa*q^2
         self.observable_symbols = self.central_symbols + self.mult_symbols
@@ -143,34 +131,14 @@ class Algebra:
         except KeyError:
             raise ValueError(f"no generator named {name!r}") from None
 
-    # -- commutator table ---------------------------------------------------
+    # -- commutators --------------------------------------------------------
 
     def commutator_scalar(self, a: GeneratorId, b: GeneratorId) -> GaussianRational:
-        """Central scalar [a, b]; only conjugate pairs are nonzero."""
-        if a.particle != b.particle or a.axis != b.axis or a.sector != b.sector:
+        """Central scalar [a, b]; only conjugate pairs are nonzero, and
+        [x, d] = i when the multiplication generator x ranks first."""
+        if self.conjugate.get(a) != b:
             return GaussianRational(0)
-        pair = (a.kind, b.kind)
-        if a.sector == "classical":
-            if pair in (("pos", "lam_pos"), ("mom", "lam_mom")):
-                return I
-            if pair in (("lam_pos", "pos"), ("lam_mom", "mom")):
-                return -I
-        else:
-            if pair == ("pos", "mom"):
-                return I
-            if pair == ("mom", "pos"):
-                return -I
-        return GaussianRational(0)
-
-    def commutator_table(self) -> dict:
-        """Full table as {frozen pair: CPoly}; every value is central."""
-        table = {}
-        for i, a in enumerate(self.generators):
-            for b in self.generators[i:]:
-                c = self.commutator_scalar(a, b)
-                if not c.is_zero:
-                    table[(a, b)] = CPoly.constant(self.central_symbols, c)
-        return table
+        return I if self.rank[a] < self.rank[b] else -I
 
     # -- element constructors -----------------------------------------------
 
@@ -222,10 +190,8 @@ class Algebra:
 
     def mult_operator(self, f: CPoly) -> "NCPoly":
         """Multiplication by the phase-space function f."""
-        out = self.zero()
-        for word, central in self._split_observable(f):
-            out = out + self.from_word(word, central)
-        return out
+        return _sum(self, (self.from_word(word, central)
+                           for word, central in self._split_observable(f)))
 
     # -- assignment rules ------------------------------------------------------
 
@@ -247,17 +213,13 @@ class Algebra:
         Yields sum_a (df/dp_a) lam_q_a - (df/dq_a) lam_p_a with the
         multiplication coefficients left of the derivative generators.
         """
-        out = self.zero()
-        for qname, pname, lamq, lamp in self._classical_pairs():
-            dfdp = f.partial(pname)
-            if not dfdp.is_zero:
-                for word, central in self._split_observable(dfdp):
-                    out = out + self.from_word(word + (lamq,), central)
-            dfdq = f.partial(qname)
-            if not dfdq.is_zero:
-                for word, central in self._split_observable(dfdq):
-                    out = out - self.from_word(word + (lamp,), central)
-        return out
+        def parts():
+            for qname, pname, lamq, lamp in self._classical_pairs():
+                for word, central in self._split_observable(f.partial(pname)):
+                    yield self.from_word(word + (lamq,), central)
+                for word, central in self._split_observable(f.partial(qname)):
+                    yield self.from_word(word + (lamp,), -central)
+        return _sum(self, parts())
 
     def prequantum_rule(self, f: CPoly) -> "NCPoly":
         """-i{., f} + f - sum_a p_a df/dp_a: the projective assignment."""
@@ -299,34 +261,46 @@ class Algebra:
 def normal_order(algebra: Algebra, word: tuple, coeff: CPoly) -> "NCPoly":
     """Rewrite coeff*word into normal form.
 
-    Termination is guaranteed because every commutator is central: each
-    swap either reduces the number of inversions or shortens the word.
+    The longest sorted prefix is kept; the remaining letters are then
+    multiplied in from the right, each into its sorted place.  Only a
+    multiplication letter x can fail to commute on the way, with its
+    conjugate derivative d, and d^n x = x d^n - i n d^(n-1): the one-letter
+    case of d^a x^b = sum_k C(a,k) C(b,k) k! (-i)^k x^(b-k) d^(a-k).
     """
-    acc: dict = {}
-    _normal_into(algebra, tuple(word), coeff, acc)
+    word = tuple(word)
+    rank, conjugate = algebra.rank, algebra.conjugate
+    key = rank.__getitem__
+    n = 1
+    while n < len(word) and key(word[n - 1]) <= key(word[n]):
+        n += 1
+    acc = {word[:n]: coeff}
+    for x in word[n:]:
+        rx, d = rank[x], conjugate[x]
+        rd = rank[d]
+        terms, acc = acc, {}
+        for w, c in terms.items():
+            i = bisect_right(w, rx, key=key)
+            _add_term(acc, w[:i] + (x,) + w[i:], c)
+            if rx < rd:
+                lo = bisect_left(w, rd, key=key)
+                count = bisect_right(w, rd, lo=lo, key=key) - lo
+                if count:
+                    _add_term(acc, w[:lo] + w[lo + 1:], c * (-count * I))
     return NCPoly(algebra, acc)
 
 
-def _normal_into(algebra: Algebra, word: tuple, coeff: CPoly, acc: dict):
-    if coeff.is_zero:
-        return
-    for i in range(len(word) - 1):
-        a, b = word[i], word[i + 1]
-        if a.order_key > b.order_key:
-            # a b = b a + [a, b]
-            swapped = word[:i] + (b, a) + word[i + 2:]
-            _normal_into(algebra, swapped, coeff, acc)
-            c = algebra.commutator_scalar(a, b)
-            if not c.is_zero:
-                reduced = word[:i] + word[i + 2:]
-                _normal_into(algebra, reduced, coeff * c, acc)
-            return
+def _add_term(acc: dict, word: tuple, coeff: CPoly) -> None:
     prev = acc.get(word)
-    total = coeff if prev is None else prev + coeff
-    if total.is_zero:
-        acc.pop(word, None)
-    else:
-        acc[word] = total
+    acc[word] = coeff if prev is None else prev + coeff
+
+
+def _sum(algebra: Algebra, parts: Iterable["NCPoly"]) -> "NCPoly":
+    """Sum of operators, accumulated in one dict."""
+    acc: dict = {}
+    for part in parts:
+        for w, c in part.terms.items():
+            _add_term(acc, w, c)
+    return NCPoly(algebra, acc)
 
 
 class NCPoly:
@@ -356,16 +330,7 @@ class NCPoly:
         return NCPoly(self.algebra, {(): self.algebra.coeff(other)})
 
     def __add__(self, other):
-        other = self._coerce(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            s = terms.get(w)
-            s = c if s is None else s + c
-            if s.is_zero:
-                terms.pop(w, None)
-            else:
-                terms[w] = s
-        return NCPoly(self.algebra, terms)
+        return _sum(self.algebra, (self, self._coerce(other)))
 
     __radd__ = __add__
 
@@ -383,11 +348,10 @@ class NCPoly:
             coeff = self.algebra.coeff(other)
             return NCPoly(self.algebra, {w: c * coeff for w, c in self.terms.items()})
         other = self._coerce(other)
-        out = self.algebra.zero()
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                out = out + normal_order(self.algebra, w1 + w2, c1 * c2)
-        return out
+        return _sum(self.algebra, (
+            normal_order(self.algebra, w1 + w2, c1 * c2)
+            for w1, c1 in self.terms.items() for w2, c2 in other.terms.items()
+        ))
 
     def __rmul__(self, other):
         if isinstance(other, (CPoly, GaussianRational, int, Fraction, complex)):
@@ -403,10 +367,10 @@ class NCPoly:
 
         Every generator is self-adjoint, so this is the full dagger.
         """
-        out = self.algebra.zero()
-        for w, c in self.terms.items():
-            out = out + normal_order(self.algebra, tuple(reversed(w)), c.conjugate())
-        return out
+        return _sum(self.algebra, (
+            normal_order(self.algebra, w[::-1], c.conjugate())
+            for w, c in self.terms.items()
+        ))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational, complex, CPoly)):
@@ -432,7 +396,7 @@ class NCPoly:
         alg = self.algebra
 
         def word_key(w):
-            return (-len(w), tuple(g.order_key for g in w))
+            return (-len(w), tuple(alg.rank[g] for g in w))
 
         parts = []
         for w in sorted(self.terms, key=word_key):
@@ -517,15 +481,14 @@ def free_hamiltonian(algebra: Algebra) -> CPoly:
 
 def quantum_kinetic(algebra: Algebra) -> NCPoly:
     """sum over quantum particles of k^2 / 2m as a normal-ordered operator."""
-    out = algebra.zero()
-    for n, p in enumerate(algebra.particles, start=1):
-        if p.sector != "quantum":
-            continue
-        minv = algebra.coeff(Fraction(1, 2)) / algebra.coeff_symbol(p.mass)
-        for axis in range(1, p.dim + 1):
-            k = GeneratorId("quantum", "mom", n, axis)
-            out = out + algebra.from_word((k, k), minv)
-    return out
+    def parts():
+        for n, p in enumerate(algebra.particles, start=1):
+            if p.sector == "quantum":
+                minv = algebra.coeff(Fraction(1, 2)) / algebra.coeff_symbol(p.mass)
+                for axis in range(1, p.dim + 1):
+                    k = GeneratorId("quantum", "mom", n, axis)
+                    yield algebra.from_word((k, k), minv)
+    return _sum(algebra, parts())
 
 
 def time_translation(algebra: Algebra, formalism: str, potential: CPoly | None = None) -> NCPoly:
@@ -553,20 +516,20 @@ def time_translation(algebra: Algebra, formalism: str, potential: CPoly | None =
 
 
 def translation_generator(algebra: Algebra, axis: int = 1) -> NCPoly:
-    """Total spatial translation: sum of lam_q (classical) and k (quantum)."""
-    out = algebra.zero()
-    for n, p in enumerate(algebra.particles, start=1):
-        kind = "lam_pos" if p.sector == "classical" else "mom"
-        out = out + algebra.from_word((GeneratorId(p.sector, kind, n, axis),))
-    return out
+    """Total spatial translation: sum of lam_q (classical) and k (quantum),
+    the derivatives conjugate to the positions."""
+    return _sum(algebra, (
+        algebra.from_word((algebra.conjugate[GeneratorId(p.sector, "pos", n, axis)],))
+        for n, p in enumerate(algebra.particles, start=1)
+    ))
 
 
 def momentum_observable(algebra: Algebra, axis: int = 1) -> NCPoly:
     """Total momentum observable: sum of p (classical) and k (quantum)."""
-    out = algebra.zero()
-    for n, p in enumerate(algebra.particles, start=1):
-        out = out + algebra.from_word((GeneratorId(p.sector, "mom", n, axis),))
-    return out
+    return _sum(algebra, (
+        algebra.from_word((GeneratorId(p.sector, "mom", n, axis),))
+        for n, p in enumerate(algebra.particles, start=1)
+    ))
 
 
 def boost_generator(algebra: Algebra, formalism: str, axis: int = 1) -> NCPoly:
@@ -575,24 +538,25 @@ def boost_generator(algebra: Algebra, formalism: str, axis: int = 1) -> NCPoly:
     Classical particles contribute the assignment rule applied to
     m*q - t*p; quantum ones contribute m*x - t*k directly.
     """
-    out = algebra.zero()
+    rule = "kvn" if formalism == "kvn" else "kvh"
     tsym = algebra.coeff_symbol("t")
-    for n, p in enumerate(algebra.particles, start=1):
-        msym = algebra.coeff_symbol(p.mass)
-        if p.sector == "classical":
-            qname = algebra.name(GeneratorId("classical", "pos", n, axis))
-            pname = algebra.name(GeneratorId("classical", "mom", n, axis))
-            g = (
-                algebra.observable(p.mass) * algebra.observable(qname)
-                - algebra.observable("t") * algebra.observable(pname)
-            )
-            rule = "kvn" if formalism == "kvn" else "kvh"
-            out = out + algebra.apply_rule(g, rule)
-        else:
-            x = GeneratorId("quantum", "pos", n, axis)
-            k = GeneratorId("quantum", "mom", n, axis)
-            out = out + algebra.from_word((x,), msym) - algebra.from_word((k,), tsym)
-    return out
+
+    def parts():
+        for n, p in enumerate(algebra.particles, start=1):
+            if p.sector == "classical":
+                qname = algebra.name(GeneratorId("classical", "pos", n, axis))
+                pname = algebra.name(GeneratorId("classical", "mom", n, axis))
+                g = (
+                    algebra.observable(p.mass) * algebra.observable(qname)
+                    - algebra.observable("t") * algebra.observable(pname)
+                )
+                yield algebra.apply_rule(g, rule)
+            else:
+                x = GeneratorId("quantum", "pos", n, axis)
+                k = GeneratorId("quantum", "mom", n, axis)
+                yield algebra.from_word((x,), algebra.coeff_symbol(p.mass))
+                yield algebra.from_word((k,), -tsym)
+    return _sum(algebra, parts())
 
 
 def rotation_generator(algebra: Algebra, formalism: str, axis: int = 3) -> NCPoly:
@@ -605,29 +569,29 @@ def rotation_generator(algebra: Algebra, formalism: str, axis: int = 3) -> NCPol
         raise ValueError("rotations require spatial dimension >= 2")
     if algebra.dim == 2 and axis != 3:
         raise ValueError("dim 2 has a single rotation generator (axis=3)")
-    out = algebra.zero()
-    for n, p in enumerate(algebra.particles, start=1):
-        if p.sector == "classical":
-            qn = _axis_names(algebra, n, "pos")
-            pn = _axis_names(algebra, n, "mom")
-            j = CPoly.constant(algebra.observable_symbols, 0)
-            for (i, jj, kk), sign in _EPS3.items():
-                if i != axis or jj > p.dim or kk > p.dim:
-                    continue
-                j = j + sign * (
-                    CPoly.variable(algebra.observable_symbols, qn[jj - 1])
-                    * CPoly.variable(algebra.observable_symbols, pn[kk - 1])
-                )
-            rule = "kvn" if formalism == "kvn" else "kvh"
-            out = out + algebra.apply_rule(j, rule)
-        else:
-            for (i, jj, kk), sign in _EPS3.items():
-                if i != axis or jj > p.dim or kk > p.dim:
-                    continue
-                x = GeneratorId("quantum", "pos", n, jj)
-                k = GeneratorId("quantum", "mom", n, kk)
-                out = out + algebra.from_word((x, k), sign)
-    return out
+    rule = "kvn" if formalism == "kvn" else "kvh"
+    # (j, k, sign) with eps_{axis j k} = sign, inside the particles' plane
+    planar = [(jj, kk, sign) for (i, jj, kk), sign in _EPS3.items()
+              if i == axis and jj <= algebra.dim and kk <= algebra.dim]
+
+    def parts():
+        for n, p in enumerate(algebra.particles, start=1):
+            if p.sector == "classical":
+                qn = _axis_names(algebra, n, "pos")
+                pn = _axis_names(algebra, n, "mom")
+                j = CPoly.constant(algebra.observable_symbols, 0)
+                for jj, kk, sign in planar:
+                    j = j + sign * (
+                        CPoly.variable(algebra.observable_symbols, qn[jj - 1])
+                        * CPoly.variable(algebra.observable_symbols, pn[kk - 1])
+                    )
+                yield algebra.apply_rule(j, rule)
+            else:
+                for jj, kk, sign in planar:
+                    x = GeneratorId("quantum", "pos", n, jj)
+                    k = GeneratorId("quantum", "mom", n, kk)
+                    yield algebra.from_word((x, k), sign)
+    return _sum(algebra, parts())
 
 
 def galilei_generators(algebra: Algebra, formalism: str, potential: CPoly | None = None) -> dict:
@@ -690,15 +654,12 @@ def klein_quantize(a: NCPoly, targets: Iterable[int]) -> NCPoly:
             return GeneratorId("quantum", "mom", g.particle, g.axis)
         raise AssertionError("lam_mom words are deleted before substitution")
 
-    out = new_alg.zero()
-    for word, coeff in a.terms.items():
-        if any(g.kind == "lam_mom" and g.particle in targets for g in word):
-            continue
-        new_word = tuple(subst(g) for g in word)
-        out = out + normal_order(
-            new_alg, new_word, CPoly(new_alg.central_symbols, coeff.terms)
-        )
-    return out
+    return _sum(new_alg, (
+        normal_order(new_alg, tuple(subst(g) for g in word),
+                     CPoly(new_alg.central_symbols, coeff.terms))
+        for word, coeff in a.terms.items()
+        if not any(g.kind == "lam_mom" and g.particle in targets for g in word)
+    ))
 
 
 # ---------------------------------------------------------------------------

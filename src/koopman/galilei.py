@@ -31,22 +31,21 @@ from .grid import Wavefunction, inner_product, norm, shift
 class GroupElement:
     """One finite transformation; boosts carry their evaluation time
     explicitly because the boost generator is time dependent."""
-    kind: str        # translation | momentum_translation | boost | free_time | rotation
+    kind: str        # translation | momentum_translation | boost | free_time
     formalism: str   # kvn | kvh
     mass: float = 1.0
     a: float = 0.0   # translation offset
     b: float = 0.0   # momentum offset
     v: float = 0.0   # boost velocity
     t: float = 0.0   # boost evaluation time / time-translation span
-    theta: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("translation", "momentum_translation", "boost",
-                             "free_time", "rotation"):
+                             "free_time"):
             raise ValueError(f"unknown group element kind {self.kind!r}")
         if self.formalism not in ("kvn", "kvh"):
             raise ValueError(f"unknown formalism {self.formalism!r}")
-        for value in (self.mass, self.a, self.b, self.v, self.t, self.theta):
+        for value in (self.mass, self.a, self.b, self.v, self.t):
             if not np.isfinite(value):
                 raise ValueError("group parameters must be finite")
 
@@ -85,9 +84,6 @@ def act(g: GroupElement, w: Wavefunction) -> Wavefunction:
     """Apply one finite transformation; unitary up to rounding."""
     qn, pn = _single_particle_axes(w)
     m = g.mass
-    if g.kind == "rotation":
-        raise ValueError("rotations exist on grids of dimension >= 2 only; "
-                         "the symbolic module covers the rotation algebra")
     if g.kind == "translation":
         return shift(w, qn, g.a)
     if g.kind == "momentum_translation":

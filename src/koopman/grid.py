@@ -23,6 +23,7 @@ self-describing.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, Sequence
@@ -215,18 +216,9 @@ def shift(w: Wavefunction, name: str, amount) -> Wavefunction:
         w.grid, _ifft(np.exp(-1j * k * amount) * _fft(w.values, (i,)), (i,)))
 
 
-_LAMBDA_AXIS_KIND = {
-    ("classical", "lam_pos"): "pos",
-    ("classical", "lam_mom"): "mom",
-    ("quantum", "mom"): "pos",
-}
-
-
 def apply_ncpoly(w: Wavefunction, op: NCPoly, params: Mapping | None = None) -> Wavefunction:
     """Apply a normal-ordered operator; grid axes must be named after the
     algebra's multiplication symbols (q, p, x conventions)."""
-    from .ccr import GeneratorId  # local to avoid import cycle at module load
-
     alg = op.algebra
     params = dict(params or {})
     out = np.zeros_like(w.values)
@@ -236,12 +228,11 @@ def apply_ncpoly(w: Wavefunction, op: NCPoly, params: Mapping | None = None) -> 
         cval = coeff.evaluate({s: params[s] for s in coeff.symbols})
         cur = w
         for g in reversed(word):
-            if g.is_multiplication:
+            partner = alg.conjugate[g]
+            if alg.rank[g] < alg.rank[partner]:  # g multiplies
                 cur = apply_mult(cur, w.grid.coordinate(alg.name(g)))
-            else:
-                base = _LAMBDA_AXIS_KIND[(g.sector, g.kind)]
-                axis_name = alg.name(GeneratorId(g.sector, base, g.particle, g.axis))
-                cur = apply_lambda(cur, axis_name)
+            else:  # g differentiates along its partner's axis
+                cur = apply_lambda(cur, alg.name(partner))
         out = out + cval * cur.values
     return Wavefunction(w.grid, out)
 
@@ -371,7 +362,7 @@ def leakage(w: Wavefunction) -> float:
 
 
 # ---------------------------------------------------------------------------
-# binary dumps and CSV export
+# binary dumps
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"KVHW"
@@ -392,31 +383,31 @@ def dump_state(w: Wavefunction, path) -> None:
 
 
 def load_state(path) -> Wavefunction:
+    """Read a dump; a malformed one raises a one-line ValueError."""
     with open(path, "rb") as fh:
         head = fh.read(64)
+        if len(head) < 64:
+            raise ValueError(f"truncated KVHW header ({len(head)} of 64 bytes)")
         magic, version, rank, _ = struct.unpack("<4sIII", head[:16])
         if magic != _MAGIC:
             raise ValueError("not a KVHW state dump")
         if version != _VERSION:
             raise ValueError(f"unsupported dump version {version}")
         axes = []
-        for _ in range(rank):
-            name, points, lo, extent = struct.unpack("<8sQdd", fh.read(32))
-            name = name.rstrip(b"\x00").decode("ascii")
+        for n in range(1, rank + 1):
+            record = fh.read(32)
+            if len(record) < 32:
+                raise ValueError(f"truncated KVHW axis record {n} of {rank}")
+            name, points, lo, extent = struct.unpack("<8sQdd", record)
+            name = name.rstrip(b"\x00")
+            if not name or not name.isascii():
+                raise ValueError(f"axis record {n} has an empty or non-ASCII name")
+            name = name.decode("ascii")
             axes.append(Axis(name, name[0], lo, extent, points))
         grid = GridSpec(tuple(axes))
-        data = np.frombuffer(fh.read(), dtype="<c16").reshape(grid.shape)
-    return Wavefunction(grid, data.copy())
-
-
-def marginal_to_csv(w: Wavefunction, keep: Iterable[str], path) -> None:
-    """Marginal density as CSV: one row per kept-grid cell."""
-    dens, kept = marginal_density(w, keep)
-    axes = [w.grid.axis(n) for n in kept]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(list(kept) + ["density"]) + "\n")
-        coords = [a.coordinates() for a in axes]
-        for idx in np.ndindex(dens.shape):
-            row = [f"{coords[d][i]:.17g}" for d, i in enumerate(idx)]
-            row.append(f"{dens[idx]:.17g}")
-            fh.write(",".join(row) + "\n")
+        data = fh.read()
+    size = 16 * math.prod(grid.shape)
+    if len(data) != size:
+        raise ValueError(f"KVHW data has {len(data)} bytes; the grid needs {size}")
+    values = np.frombuffer(data, dtype="<c16").reshape(grid.shape)
+    return Wavefunction(grid, values.copy())

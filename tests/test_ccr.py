@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koopman import ccr
-from koopman.ccr import GeneratorId, klein_quantize, normal_order
+from koopman.ccr import GeneratorId, ParticleSpec, klein_quantize, normal_order
 from koopman.exactpoly import CPoly, GaussianRational, I
 
 ALG = ccr.single_classical()
@@ -197,14 +199,6 @@ def test_generator_naming():
     assert "q2" in d3.mult_symbols and "p3" in d3.mult_symbols
 
 
-def test_commutator_table_is_central():
-    for alg in (ALG, ccr.hybrid_pair(), ccr.single_classical(dim=3)):
-        table = alg.commutator_table()
-        assert table, "table should list the conjugate pairs"
-        for (a, b), val in table.items():
-            assert val.is_constant
-
-
 def test_klein_examples():
     Lstar = ccr.time_translation(ALG, "kvh")
     out = klein_quantize(Lstar, {1})
@@ -242,3 +236,130 @@ def test_verify_algebra_reports_failures_with_residual():
     assert not report.all_passed
     assert report.counts == (1, 2)
     assert any("FAIL" in line for line in report.lines())
+
+
+# ---------------------------------------------------------------------------
+# the closed-form rule against a textbook adjacent-swap rewriter
+# ---------------------------------------------------------------------------
+
+# the normal order and the conjugate pairs, written out independently of
+# Algebra.rank and Algebra.conjugate
+_ORACLE_CLASS = {
+    ("classical", "pos"): (0, 0), ("classical", "mom"): (0, 1), ("quantum", "pos"): (0, 2),
+    ("classical", "lam_pos"): (1, 0), ("classical", "lam_mom"): (1, 1), ("quantum", "mom"): (1, 2),
+}
+_ORACLE_PAIRS = {("classical", "pos"): "lam_pos", ("classical", "mom"): "lam_mom",
+                 ("quantum", "pos"): "mom"}
+
+
+def _oracle_key(g):
+    return _ORACLE_CLASS[g.sector, g.kind] + (g.particle, g.axis)
+
+
+def _oracle_commutator(a, b):
+    if (a.sector, a.particle, a.axis) != (b.sector, b.particle, b.axis):
+        return GaussianRational(0)
+    if _ORACLE_PAIRS.get((a.sector, a.kind)) == b.kind:
+        return I
+    if _ORACLE_PAIRS.get((b.sector, b.kind)) == a.kind:
+        return -I
+    return GaussianRational(0)
+
+
+def _oracle_normal_order(alg, word, coeff):
+    """Swap the first adjacent inversion, a b = b a + [a, b], and recurse."""
+    acc = {}
+
+    def rewrite(word, coeff):
+        for i in range(len(word) - 1):
+            a, b = word[i], word[i + 1]
+            if _oracle_key(a) > _oracle_key(b):
+                rewrite(word[:i] + (b, a) + word[i + 2:], coeff)
+                c = _oracle_commutator(a, b)
+                if not c.is_zero:
+                    rewrite(word[:i] + word[i + 2:], coeff * c)
+                return
+        acc[word] = acc[word] + coeff if word in acc else coeff
+
+    rewrite(tuple(word), coeff)
+    return ccr.NCPoly(alg, acc)
+
+
+@st.composite
+def layouts(draw):
+    """1-3 particles, all classical, all quantum or mixed, d = 1-3."""
+    n = draw(st.integers(1, 3))
+    sectors = draw(st.sampled_from(["classical", "quantum", "mixed"]))
+    if sectors == "mixed":
+        kinds = draw(st.lists(st.sampled_from(["classical", "quantum"]),
+                              min_size=n, max_size=n))
+    else:
+        kinds = [sectors] * n
+    dim = draw(st.integers(1, 3))
+    return ccr.Algebra([ParticleSpec(k, dim, f"m{i}") for i, k in enumerate(kinds, 1)])
+
+
+@st.composite
+def words(draw, alg, max_size=7):
+    """Words over a few generators and their conjugates, so that
+    non-commuting pairs meet often."""
+    picks = draw(st.lists(st.sampled_from(alg.generators), min_size=1, max_size=3))
+    pool = picks + [alg.conjugate[g] for g in picks]
+    return tuple(draw(st.lists(st.sampled_from(pool), max_size=max_size)))
+
+
+_small = st.builds(GaussianRational, st.integers(-3, 3), st.integers(-3, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_normal_order_matches_adjacent_swap_oracle(data):
+    alg = data.draw(layouts())
+    word = data.draw(words(alg))
+    coeff = alg.coeff(data.draw(_small.filter(lambda c: not c.is_zero)))
+    assert normal_order(alg, word, coeff) == _oracle_normal_order(alg, word, coeff)
+
+
+@settings(max_examples=30, deadline=None)
+@given(layouts())
+def test_generator_order_and_conjugate_pairs(alg):
+    assert list(alg.generators) == sorted(alg.generators, key=_oracle_key)
+    for a in alg.generators:
+        for b in alg.generators:
+            assert alg.commutator_scalar(a, b) == _oracle_commutator(a, b)
+
+
+@st.composite
+def ncpolys(draw, alg):
+    return sum((alg.from_word(draw(words(alg, max_size=3)), draw(_small))
+                for _ in range(draw(st.integers(1, 3)))), alg.zero())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_jacobi_identity_property(data):
+    alg = data.draw(layouts())
+    a, b, c = (data.draw(ncpolys(alg)) for _ in range(3))
+    jac = a.commutator(b).commutator(c) + b.commutator(c).commutator(a) \
+        + c.commutator(a).commutator(b)
+    assert jac.is_zero
+
+
+_OBS = ALG.observable_symbols  # m, t, q, p
+
+
+@st.composite
+def phase_space_polys(draw):
+    """Polynomials in q and p with coefficients in the central m and t."""
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4).map(GaussianRational)
+    expo = st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 3), st.integers(0, 3))
+    return CPoly(_OBS, draw(st.dictionaries(expo, coeff, max_size=4)))
+
+
+@pytest.mark.parametrize("rule", ["kvn", "kvh"])
+@settings(max_examples=40, deadline=None)
+@given(f=phase_space_polys(), g=phase_space_polys())
+def test_rules_are_lie_homomorphisms_property(rule, f, g):
+    # [R(f), R(g)] = i R({f, g}) with {f, g} = f_q g_p - f_p g_q
+    lhs = ALG.apply_rule(f, rule).commutator(ALG.apply_rule(g, rule))
+    assert lhs == ALG.apply_rule(_poisson(f, g), rule) * I

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,18 @@ def test_check_algebra_exit_codes(tmp_path, capsys):
     assert "FAIL  hybrid_total_momentum_vanishes" in report
     assert "(-1/1i)*kappa*lam_p" in report
     assert "PASS  hybrid_momentum_commutator_corrected" in report
+
+
+def test_check_algebra_golden_output(tmp_path, capsys):
+    # the committed files pin the verdicts, the residuals and the term
+    # order of every rendered operator
+    data = Path(__file__).parent / "data"
+    rc = cli.main(["check-algebra", "--formalism", "all", "--out", str(tmp_path)])
+    assert rc == cli.EXIT_VERIFY
+    assert capsys.readouterr().out.encode() \
+        == (data / "check_algebra_all.stdout").read_bytes()
+    assert (tmp_path / "algebra_relations.csv").read_bytes() \
+        == (data / "check_algebra_all.csv").read_bytes()
 
 
 def test_evolve_outputs(tiny_cfg, tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koopman import galilei as ga
 from koopman.grid import Axis, GridSpec, Wavefunction, gaussian_init, marginal_density, norm
@@ -52,8 +54,9 @@ def test_acts_are_unitary_and_invertible():
 
 
 def test_rotation_rejected_on_grids():
-    with pytest.raises(ValueError, match="symbolic"):
-        ga.act(ga.GroupElement("rotation", "kvn", theta=0.1), W)
+    # rotations live in the symbolic module only (dimension >= 2)
+    with pytest.raises(ValueError, match="kind"):
+        ga.GroupElement("rotation", "kvn")
 
 
 def test_group_element_validation():
@@ -104,6 +107,22 @@ def test_weyl_sweep_matches_prediction():
             assert abs(np.angle(ph * np.conj(pred))) <= 1e-6
             assert np.angle(pred) == pytest.approx(
                 np.angle(np.exp(1j * a * v)), abs=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(formalism=st.sampled_from(["kvn", "kvh"]),
+       m=st.floats(0.5, 2.0), a=st.floats(-1.5, 1.5), mv=st.floats(-1.5, 1.5))
+def test_weyl_phase_matches_prediction_property(formalism, m, a, mv):
+    # translation by a and momentum kick m*v keep the packet 5 widths
+    # inside the grid
+    v = mv / m
+    g1, g2 = ga.boost(v, 0.0, formalism, m), ga.translation(a, formalism, m)
+    ph, res = ga.weyl_phase(g1, g2, W)
+    assert res <= 1e-6
+    pred = ga.predicted_weyl_phase(g1, g2)
+    assert abs(np.angle(ph * np.conj(pred))) <= 1e-6
+    angle = m * a * v if formalism == "kvh" else 0.0
+    assert abs(np.angle(pred * np.exp(-1j * angle))) <= 1e-6
 
 
 def test_noncentral_pair_is_rejected_and_measured():

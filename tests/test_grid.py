@@ -5,7 +5,7 @@ from koopman import ccr
 from koopman.grid import (
     Axis, GridSpec, Wavefunction, apply_lambda, apply_mult, apply_ncpoly,
     dump_state, expectation, gaussian_init, inner_product, leakage,
-    load_state, marginal_density, marginal_to_csv, norm, normalize,
+    load_state, marginal_density, norm, normalize,
     phase_mask, shift,
 )
 
@@ -213,9 +213,27 @@ def test_dump_roundtrip(tmp_path):
         load_state(bad)
 
 
-def test_marginal_csv(tmp_path):
-    path = tmp_path / "marg.csv"
-    marginal_to_csv(W, ("q",), path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "q,density"
-    assert len(lines) == 1 + GRID.axis("q").points
+def _name_record(good: bytes, name: bytes) -> bytes:
+    return good[:64] + name.ljust(8, b"\x00") + good[72:]
+
+
+@pytest.mark.parametrize("mangle", [
+    lambda good: b"",
+    lambda good: good[:20],
+    lambda good: b"NOPE" + good[4:],
+    lambda good: good[:64 + 32],             # rank 2, one axis record
+    lambda good: good[:64 + 32 + 10],
+    lambda good: _name_record(good, b""),
+    lambda good: _name_record(good, b"q\xff"),
+    lambda good: good[:-16],
+    lambda good: good + bytes(16),
+], ids=["empty", "short-header", "magic", "missing-axis", "short-axis",
+        "empty-name", "non-ascii-name", "short-data", "long-data"])
+def test_load_state_rejects_malformed_dumps(tmp_path, mangle):
+    good = tmp_path / "good.kvhw"
+    dump_state(W, good)
+    bad = tmp_path / "bad.kvhw"
+    bad.write_bytes(mangle(good.read_bytes()))
+    with pytest.raises(ValueError) as info:
+        load_state(bad)
+    assert "\n" not in str(info.value)
