@@ -14,9 +14,8 @@ Both densities are identical; only the phase bookkeeping differs.
 
 import numpy as np
 
-from koopman import (
-    Axis, GridSpec, build_plan, gaussian_init, make_potential, run,
-)
+from koopman.evolve import build_plan, make_potential, run
+from koopman.grid import Axis, GridSpec, gaussian_init
 
 grid = GridSpec((Axis("q", "q", -8, 16, 256), Axis("p", "p", -8, 16, 256)))
 packet = gaussian_init(grid, centers=(0.0, 2.0), widths=(1.0, 1.0))

@@ -13,10 +13,8 @@ commutator, e^A e^B = e^B e^A e^[A,B]).
 
 import numpy as np
 
-from koopman import (
-    Axis, GridSpec, boost, gaussian_init, predicted_weyl_phase, translation,
-    weyl_phase,
-)
+from koopman.galilei import boost, predicted_weyl_phase, translation, weyl_phase
+from koopman.grid import Axis, GridSpec, gaussian_init
 
 grid = GridSpec((Axis("q", "q", -8, 16, 128), Axis("p", "p", -8, 16, 128)))
 w = gaussian_init(grid, centers=(0.3, -0.4), widths=(1.0, 0.7))

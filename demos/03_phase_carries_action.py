@@ -11,10 +11,9 @@ error, and the spectral phase field equals the action field.
 
 import numpy as np
 
-from koopman import (
-    Axis, GridSpec, build_plan, compare, gaussian_init, integrate_flow,
-    make_potential, reference_solution, run,
-)
+from koopman.characteristics import compare, integrate_flow, reference_solution
+from koopman.evolve import build_plan, make_potential, run
+from koopman.grid import Axis, GridSpec, gaussian_init
 
 grid = GridSpec((Axis("q", "q", -8, 16, 256), Axis("p", "p", -8, 16, 256)))
 w0 = gaussian_init(grid, centers=(0.0, 2.0), widths=(1.0, 1.0))

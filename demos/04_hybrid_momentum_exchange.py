@@ -14,7 +14,8 @@ Run time is under a minute on the full 64^3 grid.
 
 import numpy as np
 
-from koopman import Axis, GridSpec, build_plan, gaussian_init, make_potential, run
+from koopman.evolve import build_plan, make_potential, run
+from koopman.grid import Axis, GridSpec, gaussian_init
 
 grid = GridSpec((Axis("q", "q", -8, 16, 64), Axis("p", "p", -8, 16, 64),
                  Axis("x", "x", -8, 16, 64)))

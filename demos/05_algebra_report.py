@@ -13,7 +13,7 @@ precisely how the conservation law does and does not survive in the
 quantum-classical setting.
 """
 
-from koopman import verify_algebra
+from koopman.ccr import verify_algebra
 from koopman.suites import suite_group
 
 print(__doc__)

@@ -8,74 +8,3 @@ solutions.
 """
 
 __version__ = "0.1.0"
-
-from .exactpoly import CPoly, GaussianRational, ring
-from .ccr import (
-    Algebra,
-    GeneratorId,
-    NCPoly,
-    ParticleSpec,
-    Relation,
-    boost_generator,
-    galilei_generators,
-    hybrid_pair,
-    klein_quantize,
-    momentum_observable,
-    rotation_generator,
-    single_classical,
-    single_quantum,
-    time_translation,
-    translation_generator,
-    two_classical,
-    verify_algebra,
-)
-from .grid import (
-    Axis,
-    GridSpec,
-    Wavefunction,
-    apply_lambda,
-    apply_mult,
-    apply_ncpoly,
-    dump_state,
-    expectation,
-    gaussian_init,
-    inner_product,
-    leakage,
-    load_state,
-    marginal_density,
-    norm,
-    normalize,
-    phase_mask,
-    set_fft_workers,
-    shift,
-)
-from .evolve import (
-    NumericalAbort,
-    Potential,
-    PropagatorPlan,
-    RunRecord,
-    build_plan,
-    make_potential,
-    run,
-    step,
-)
-from .characteristics import (
-    CompareMetrics,
-    TrajectoryBundle,
-    compare,
-    integrate_flow,
-    reference_solution,
-)
-from .galilei import (
-    CovarianceResult,
-    GroupElement,
-    act,
-    boost,
-    covariance_check,
-    free_time,
-    invert,
-    momentum_translation,
-    predicted_weyl_phase,
-    translation,
-    weyl_phase,
-)

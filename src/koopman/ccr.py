@@ -228,10 +228,6 @@ class Algebra:
             scalar = scalar - CPoly.variable(f.symbols, pname) * f.partial(pname)
         return self.poisson_rule(f) + self.mult_operator(scalar)
 
-    # aliases matching the two formalism names used throughout
-    kvn_map = poisson_rule
-    kvh_map = prequantum_rule
-
     def apply_rule(self, f: CPoly, formalism: str) -> "NCPoly":
         if formalism == "kvn":
             return self.poisson_rule(f)

@@ -16,7 +16,7 @@ numeric grid action and the exact algebra check each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -64,12 +64,6 @@ def boost(v: float, t: float = 0.0, formalism: str = "kvn", mass: float = 1.0) -
 
 def free_time(t: float, formalism: str, mass: float = 1.0) -> GroupElement:
     return GroupElement("free_time", formalism, mass, t=t)
-
-
-def invert(g: GroupElement) -> GroupElement:
-    """Inverse element: parameter negation at matched boost time."""
-    return replace(g, a=-g.a, b=-g.b, v=-g.v,
-                   t=-g.t if g.kind == "free_time" else g.t)
 
 
 def _single_particle_axes(w: Wavefunction):

@@ -25,14 +25,11 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 import scipy.fft as sfft
-
-from .ccr import NCPoly
-from .exactpoly import CPoly
 
 _fft_workers = 1
 
@@ -168,31 +165,9 @@ def norm(w: Wavefunction) -> float:
     return float(np.sqrt(np.sum(np.abs(w.values) ** 2) * w.grid.cell_weight))
 
 
-def normalize(w: Wavefunction) -> Wavefunction:
-    n = norm(w)
-    if n == 0:
-        raise ValueError("cannot normalize the zero wavefunction")
-    return replace(w, values=w.values / n)
-
-
 # ---------------------------------------------------------------------------
 # primitive operators
 # ---------------------------------------------------------------------------
-
-def apply_mult(w: Wavefunction, f, params: Mapping | None = None) -> Wavefunction:
-    """Multiplication operator: f may be a CPoly, a callable on the
-    coordinate bindings, an array, or a scalar."""
-    if isinstance(f, CPoly):
-        bindings = dict(w.grid.coordinate_bindings())
-        if params:
-            bindings.update(params)
-        factor = f.evaluate(bindings)
-    elif callable(f):
-        factor = f(w.grid.coordinate_bindings())
-    else:
-        factor = f
-    return Wavefunction(w.grid, w.values * factor)
-
 
 def apply_lambda(w: Wavefunction, name: str) -> Wavefunction:
     """-i d/d(axis): spectral derivative along one axis."""
@@ -214,41 +189,6 @@ def shift(w: Wavefunction, name: str, amount) -> Wavefunction:
     k = w.grid.wavenumber(name)
     return Wavefunction(
         w.grid, _ifft(np.exp(-1j * k * amount) * _fft(w.values, (i,)), (i,)))
-
-
-def apply_ncpoly(w: Wavefunction, op: NCPoly, params: Mapping | None = None) -> Wavefunction:
-    """Apply a normal-ordered operator; grid axes must be named after the
-    algebra's multiplication symbols (q, p, x conventions)."""
-    alg = op.algebra
-    params = dict(params or {})
-    out = np.zeros_like(w.values)
-    bindings = dict(w.grid.coordinate_bindings())
-    bindings.update(params)
-    for word, coeff in op.terms.items():
-        cval = coeff.evaluate({s: params[s] for s in coeff.symbols})
-        cur = w
-        for g in reversed(word):
-            partner = alg.conjugate[g]
-            if alg.rank[g] < alg.rank[partner]:  # g multiplies
-                cur = apply_mult(cur, w.grid.coordinate(alg.name(g)))
-            else:  # g differentiates along its partner's axis
-                cur = apply_lambda(cur, alg.name(partner))
-        out = out + cval * cur.values
-    return Wavefunction(w.grid, out)
-
-
-def expectation(w: Wavefunction, op, params: Mapping | None = None) -> complex:
-    """<w|O|w>/<w|w> for a multiplication CPoly, an NCPoly, or a callable
-    Wavefunction -> Wavefunction.  For self-adjoint operators the caller
-    should treat the imaginary part (<= 1e-10 on healthy data) as a
-    diagnostic."""
-    if isinstance(op, NCPoly):
-        ow = apply_ncpoly(w, op, params)
-    elif isinstance(op, CPoly) or not callable(op):
-        ow = apply_mult(w, op, params)
-    else:
-        ow = op(w)
-    return inner_product(w, ow) / inner_product(w, w)
 
 
 # ---------------------------------------------------------------------------
@@ -324,22 +264,6 @@ def gaussian_init(
 # densities and diagnostics
 # ---------------------------------------------------------------------------
 
-def marginal_density(w: Wavefunction, keep: Iterable[str]):
-    """|psi|^2 integrated over all axes not in ``keep``.
-
-    Returns (density array over the kept axes in grid order, kept names).
-    """
-    keep = set(keep)
-    unknown = keep - set(w.grid.names())
-    if unknown:
-        raise ValueError(f"unknown axes {sorted(unknown)}")
-    drop = tuple(i for i, a in enumerate(w.grid.axes) if a.name not in keep)
-    weight = float(np.prod([w.grid.axes[i].spacing for i in drop])) if drop else 1.0
-    dens = np.sum(np.abs(w.values) ** 2, axis=drop) * weight
-    kept = tuple(a.name for a in w.grid.axes if a.name in keep)
-    return dens, kept
-
-
 def phase_mask(w: Wavefunction, threshold: float = 1e-6) -> np.ndarray:
     """Where the phase is meaningful: |psi| > threshold * max|psi|."""
     mag = np.abs(w.values)
@@ -370,14 +294,18 @@ _VERSION = 1
 
 
 def dump_state(w: Wavefunction, path) -> None:
+    """Write a dump; every axis name is checked before the file is opened,
+    so a bad name leaves no file behind."""
+    records = []
+    for a in w.grid.axes:
+        name = a.name.encode("ascii")
+        if len(name) > 8:
+            raise ValueError(f"axis name {a.name!r} longer than 8 bytes")
+        records.append(struct.pack("<8sQdd", name, a.points, a.min, a.extent))
     with open(path, "wb") as fh:
         head = struct.pack("<4sIII", _MAGIC, _VERSION, len(w.grid.axes), 0)
         fh.write(head + b"\x00" * (64 - len(head)))
-        for a in w.grid.axes:
-            name = a.name.encode("ascii")
-            if len(name) > 8:
-                raise ValueError(f"axis name {a.name!r} longer than 8 bytes")
-            fh.write(struct.pack("<8sQdd", name, a.points, a.min, a.extent))
+        fh.write(b"".join(records))
         data = np.ascontiguousarray(w.values, dtype="<c16")
         fh.write(data.tobytes())
 

@@ -320,27 +320,32 @@ def _pair_potential_xx(alg: Algebra, coupling: str = "kappa") -> CPoly:
 # suite registry used by the CLI and the acceptance tests
 # ---------------------------------------------------------------------------
 
+_GROUPS = {
+    "kvn": (
+        ("canonical commutators (single particle, d=1)", base_ccr_suite),
+        ("non-projective Galilei table, d=3", lambda: galilei_table_suite("kvn")),
+    ),
+    "kvh": (
+        ("projective Galilei table, d=3", lambda: galilei_table_suite("kvh")),
+        ("projective conjugate pair, d=3", kvh_star_pair_suite),
+        ("two-particle covariance, d=1", two_particle_suite),
+        ("two-particle rotations, d=3", two_particle_rotation_suite),
+    ),
+    "hybrid": (
+        ("quantum sector, d=1", quantum_suite),
+        ("hybrid relations, d=1", hybrid_suite),
+        ("partial quantization identities", klein_suite),
+    ),
+}
+
+
 def suite_group(name: str) -> list:
-    """(title, relations) sections for kvn | kvh | hybrid | all."""
-    kvn = [
-        ("canonical commutators (single particle, d=1)", base_ccr_suite()),
-        ("non-projective Galilei table, d=3", galilei_table_suite("kvn")),
-    ]
-    kvh = [
-        ("projective Galilei table, d=3", galilei_table_suite("kvh")),
-        ("projective conjugate pair, d=3", kvh_star_pair_suite()),
-        ("two-particle covariance, d=1", two_particle_suite()),
-        ("two-particle rotations, d=3", two_particle_rotation_suite()),
-    ]
-    hybrid = [
-        ("quantum sector, d=1", quantum_suite()),
-        ("hybrid relations, d=1", hybrid_suite()),
-        ("partial quantization identities", klein_suite()),
-    ]
-    groups = {"kvn": kvn, "kvh": kvh, "hybrid": hybrid}
+    """(title, relations) sections for kvn | kvh | hybrid | all; only the
+    requested catalogs are built."""
     if name == "all":
-        return kvn + kvh + hybrid
-    try:
-        return groups[name]
-    except KeyError:
-        raise ValueError(f"unknown suite group {name!r}") from None
+        sections = [s for group in _GROUPS.values() for s in group]
+    elif name in _GROUPS:
+        sections = _GROUPS[name]
+    else:
+        raise ValueError(f"unknown suite group {name!r}")
+    return [(title, build()) for title, build in sections]

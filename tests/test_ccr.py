@@ -84,13 +84,13 @@ def _obs(name):
 
 
 def test_poisson_rule_examples():
-    assert ALG.kvn_map(_obs("p")) == LQ
+    assert ALG.poisson_rule(_obs("p")) == LQ
     H = _obs("p") ** 2 / (2 * _obs("m")) + _obs("q") ** 2 / 2
-    L = ALG.kvn_map(H)
+    L = ALG.poisson_rule(H)
     minv = ALG.coeff(1) / ALG.coeff_symbol("m")
     assert L == P * LQ * minv - Q * LP
     g = _obs("m") * _obs("q") - _obs("t") * _obs("p")
-    G = ALG.kvn_map(g)
+    G = ALG.poisson_rule(g)
     assert G == -(LQ * ALG.coeff_symbol("t")) - LP * ALG.coeff_symbol("m")
 
 
@@ -98,14 +98,14 @@ def test_prequantum_rule_examples():
     m = ALG.coeff_symbol("m")
     t = ALG.coeff_symbol("t")
     Hfree = _obs("p") ** 2 / (2 * _obs("m"))
-    Lstar = ALG.kvh_map(Hfree)
+    Lstar = ALG.prequantum_rule(Hfree)
     minv = ALG.coeff(1) / m
     half = ALG.coeff(GaussianRational(1) / 2)
     assert Lstar == P * LQ * minv - P * P * (half * minv)
     g = _obs("m") * _obs("q") - _obs("t") * _obs("p")
-    assert ALG.kvh_map(g) == -(LQ * t) - LP * m + Q * m
+    assert ALG.prequantum_rule(g) == -(LQ * t) - LP * m + Q * m
     # momentum has no scalar correction
-    assert ALG.kvh_map(_obs("p")) == LQ
+    assert ALG.prequantum_rule(_obs("p")) == LQ
 
 
 def _poisson(f, g_):
@@ -143,8 +143,8 @@ def test_rules_give_self_adjoint_operators(rule):
 def test_central_charges():
     g = _obs("m") * _obs("q") - _obs("t") * _obs("p")
     m = ALG.coeff_symbol("m")
-    assert ALG.kvn_map(g).commutator(LQ).is_zero
-    assert ALG.kvh_map(g).commutator(LQ) == ALG.one() * (m * I)
+    assert ALG.poisson_rule(g).commutator(LQ).is_zero
+    assert ALG.prequantum_rule(g).commutator(LQ) == ALG.one() * (m * I)
 
 
 def test_starred_conjugate_pair():

@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
 
-from koopman import ccr
 from koopman.grid import (
-    Axis, GridSpec, Wavefunction, apply_lambda, apply_mult, apply_ncpoly,
-    dump_state, expectation, gaussian_init, inner_product, leakage,
-    load_state, marginal_density, norm, normalize,
-    phase_mask, shift,
+    Axis, GridSpec, Wavefunction, apply_lambda, dump_state, gaussian_init,
+    inner_product, leakage, load_state, norm, phase_mask, shift,
 )
 
 
@@ -44,17 +41,6 @@ def test_grid_mismatch():
     other = gaussian_init(make_grid(32), (0, 0), (2, 2))
     with pytest.raises(ValueError, match="grid mismatch"):
         inner_product(W, other)
-
-
-def test_apply_mult_identity_and_coordinate():
-    assert np.array_equal(apply_mult(W, 1.0).values, W.values)
-    got = apply_mult(W, GRID.coordinate("q"))
-    assert np.allclose(got.values, GRID.coordinate("q") * W.values)
-    # CPoly route: kinetic weighting
-    from koopman.exactpoly import ring
-    R = ring("q p")
-    got2 = apply_mult(W, R["p"] ** 2 / 2)
-    assert np.allclose(got2.values, GRID.coordinate("p") ** 2 / 2 * W.values)
 
 
 def test_apply_lambda_eigenfunction():
@@ -101,15 +87,10 @@ def test_apply_lambda_self_adjoint_randomized():
 def test_discrete_canonical_commutator():
     # [q-multiplication, -i d/dq] acts as i on states away from the seam
     w = gaussian_init(GRID, (0.0, 0.0), (1.0, 1.0))
-    qw = apply_mult(w, GRID.coordinate("q"))
-    c = apply_mult(apply_lambda(w, "q"), GRID.coordinate("q")).values \
-        - apply_lambda(qw, "q").values
+    q = GRID.coordinate("q")
+    qw = Wavefunction(GRID, q * w.values)
+    c = q * apply_lambda(w, "q").values - apply_lambda(qw, "q").values
     assert np.max(np.abs(c - 1j * w.values)) <= 1e-8
-    # multiplication operators commute: no discretization error at all,
-    # only float reassociation at the last ulp
-    pq = apply_mult(apply_mult(w, GRID.coordinate("q")), GRID.coordinate("p"))
-    qp = apply_mult(apply_mult(w, GRID.coordinate("p")), GRID.coordinate("q"))
-    assert np.max(np.abs(pq.values - qp.values)) <= 1e-15
 
 
 def test_parseval():
@@ -121,11 +102,12 @@ def test_parseval():
 
 def test_expectation_examples():
     w = gaussian_init(GRID, (0.7, 1.3), (1.0, 0.8))
-    assert expectation(w, GRID.coordinate("p")).real == pytest.approx(1.3, abs=1e-8)
-    # composition route and exact Gaussian moments: for amplitude width s,
-    # the density variance is s^2/2
-    val = expectation(w, lambda u: apply_mult(u, (GRID.coordinate("p") ** 2
-                                                  + GRID.coordinate("q") ** 2) / 2))
+    q, p = GRID.coordinate("q"), GRID.coordinate("p")
+    mean_p = inner_product(w, Wavefunction(GRID, p * w.values))
+    assert mean_p.real == pytest.approx(1.3, abs=1e-8)
+    # exact Gaussian moments: for amplitude width s, the density
+    # variance is s^2/2
+    val = inner_product(w, Wavefunction(GRID, (p ** 2 + q ** 2) / 2 * w.values))
     expect = (0.8 ** 2 / 2 + 1.3 ** 2 + 1.0 ** 2 / 2 + 0.7 ** 2) / 2
     assert val.real == pytest.approx(expect, rel=1e-10)
     assert abs(val.imag) <= 1e-10
@@ -137,7 +119,8 @@ def test_expectation_of_quantum_momentum_plane_wave():
     k = g.wavenumber("x")
     k0 = np.unique(k[k > 0])[4]
     env = np.exp(-x ** 2 / 4)
-    w = normalize(Wavefunction(g, env * np.exp(1j * k0 * x)))
+    w = Wavefunction(g, env * np.exp(1j * k0 * x))
+    w = Wavefunction(g, w.values / norm(w))
     got = inner_product(w, apply_lambda(w, "x"))
     assert got.real == pytest.approx(k0, abs=1e-8)
 
@@ -150,26 +133,20 @@ def test_gaussian_init_contract():
     with pytest.raises(ValueError, match="one center"):
         gaussian_init(GRID, (0,), (1, 1))
     lin = gaussian_init(GRID, (0, 0), (1, 1), phase="linear", phase_coeffs=(2.0, 0.0))
-    assert expectation(lin, lambda u: apply_lambda(u, "q")).real \
+    assert inner_product(lin, apply_lambda(lin, "q")).real \
         == pytest.approx(2.0, abs=1e-8)
     act = gaussian_init(GRID, (0.0, 1.5), (1, 1), phase="action")
-    assert expectation(act, lambda u: apply_lambda(u, "q")).real \
+    assert inner_product(act, apply_lambda(act, "q")).real \
         == pytest.approx(1.5, abs=1e-8)
 
 
 def test_gaussian_marginals():
     w = gaussian_init(GRID, (0.5, -0.3), (1.0, 1.4))
-    dens, kept = marginal_density(w, ("q",))
-    assert kept == ("q",)
+    dens = np.sum(np.abs(w.values) ** 2, axis=1) * GRID.axis("p").spacing
     q = GRID.axis("q").coordinates()
     expect = np.exp(-(q - 0.5) ** 2 / 1.0)
     expect /= expect.sum() * GRID.axis("q").spacing
     assert np.max(np.abs(dens - expect)) <= 1e-10
-    total, kept = marginal_density(w, ())
-    assert kept == ()
-    assert float(total) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError, match="unknown axes"):
-        marginal_density(w, ("nope",))
 
 
 def test_shift_matches_closed_form():
@@ -180,18 +157,6 @@ def test_shift_matches_closed_form():
     assert np.max(np.abs(got.values - np.broadcast_to(ref, GRID.shape))) <= 1e-12
     with pytest.raises(ValueError, match="shifted axis"):
         shift(w, "q", GRID.coordinate("q"))
-
-
-def test_apply_ncpoly_matches_normal_ordered_square():
-    # (q lam_q)^2 = q^2 lam_q^2 - i q lam_q, checked by acting on a state
-    alg = ccr.single_classical()
-    a = alg.op("q") * alg.op("lam_q")
-    sq = a * a
-    w = gaussian_init(GRID, (0.3, -0.2), (1.0, 1.0))
-    once = apply_ncpoly(w, a, params={"m": 1.0, "t": 0.0})
-    twice = apply_ncpoly(once, a, params={"m": 1.0, "t": 0.0})
-    via_normal = apply_ncpoly(w, sq, params={"m": 1.0, "t": 0.0})
-    assert np.max(np.abs(twice.values - via_normal.values)) <= 1e-8
 
 
 def test_phase_mask_and_leakage():
@@ -211,6 +176,15 @@ def test_dump_roundtrip(tmp_path):
     bad.write_bytes(b"NOPE" + bytes(60))
     with pytest.raises(ValueError, match="not a KVHW"):
         load_state(bad)
+
+
+def test_dump_rejects_long_axis_name_before_writing(tmp_path):
+    grid = GridSpec((Axis("q_position", "q", -8, 16, 64), Axis("p", "p", -8, 16, 64)))
+    w = gaussian_init(grid, (0.0, 0.0), (1.0, 1.0))
+    path = tmp_path / "long.kvhw"
+    with pytest.raises(ValueError, match="longer than 8 bytes"):
+        dump_state(w, path)
+    assert not path.exists()
 
 
 def _name_record(good: bytes, name: bytes) -> bytes:

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from koopman import ccr, suites
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _run(relations):
@@ -121,3 +128,26 @@ def test_csv_rows_shape():
     rows = report.csv_rows()
     assert all(len(r) == 3 for r in rows)
     assert all(r[1] in ("PASS", "FAIL") for r in rows)
+
+
+def _fresh_python(code: str) -> None:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_exact_algebra_imports_without_numeric_stack():
+    # the exact algebra is pure Python; the numeric layer does not depend on it
+    _fresh_python(
+        "import sys\n"
+        "from koopman import ccr, suites\n"
+        "reports = [ccr.verify_algebra(r) for _, r in suites.suite_group('all')]\n"
+        "assert sum(r.counts[1] for r in reports) == 128\n"
+        "loaded = sorted({'numpy', 'scipy'} & set(sys.modules))\n"
+        "assert not loaded, loaded\n")
+    _fresh_python(
+        "import sys\n"
+        "import koopman.grid\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('koopman.'))\n"
+        "assert loaded == ['koopman.grid'], loaded\n")
