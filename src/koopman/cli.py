@@ -19,6 +19,7 @@ import argparse
 import configparser
 import csv
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,6 +41,15 @@ EXIT_NUMERIC = 3
 
 class ScenarioError(ValueError):
     """Configuration problem; maps to exit code 2."""
+
+
+@contextmanager
+def _config_errors(where: str):
+    """Report a library ValueError raised inside the block as a config error."""
+    try:
+        yield
+    except ValueError as e:
+        raise ScenarioError(f"{where}: {e}") from e
 
 
 def _fmt(x) -> str:
@@ -149,10 +159,8 @@ def build_grid(sc: Scenario) -> GridSpec:
         for key in ("min", "extent", "points"):
             if key not in spec:
                 raise ScenarioError(f"[axis.{name}] missing {key!r}")
-        try:
+        with _config_errors(f"[axis.{name}]"):
             axes.append(Axis(name, role, spec["min"], spec["extent"], spec["points"]))
-        except ValueError as e:
-            raise ScenarioError(f"[axis.{name}]: {e}") from e
     return GridSpec(tuple(axes))
 
 
@@ -161,10 +169,8 @@ def build_initial(sc: Scenario, grid: GridSpec) -> Wavefunction:
     widths = sc.require("initial", "widths")
     phase = sc.get("initial", "phase", "none")
     coeffs = sc.get("initial", "phase_coeffs")
-    try:
+    with _config_errors("[initial]"):
         return gaussian_init(grid, centers, widths, phase, coeffs)
-    except ValueError as e:
-        raise ScenarioError(f"[initial]: {e}") from e
 
 
 def build_plan_from(sc: Scenario, grid: GridSpec) -> ev.PropagatorPlan:
@@ -173,12 +179,10 @@ def build_plan_from(sc: Scenario, grid: GridSpec) -> ev.PropagatorPlan:
         if key not in dyn:
             raise ScenarioError(f"[dynamics] missing {key!r}")
     constants = {k: dyn[k] for k in ("kappa", "alpha") if k in dyn}
-    try:
+    with _config_errors("[dynamics]"):
         pot = ev.make_potential(dyn["potential"], grid, constants)
         return ev.build_plan(grid, dyn["formalism"], dyn["masses"], pot,
                              dyn["dt"], dyn.get("interaction", "full"))
-    except ValueError as e:
-        raise ScenarioError(f"[dynamics]: {e}") from e
 
 
 def read_t_final(sc: Scenario, dt: float | None = None) -> float:
@@ -187,10 +191,8 @@ def read_t_final(sc: Scenario, dt: float | None = None) -> float:
     if not 0 < t_final < np.inf:
         raise ScenarioError(f"[dynamics]: t_final must be positive, got {t_final!r}")
     if dt is not None:
-        try:
+        with _config_errors("[dynamics]"):
             ev.step_count(t_final, dt)
-        except ValueError as e:
-            raise ScenarioError(f"[dynamics]: {e}") from e
     return t_final
 
 
@@ -292,17 +294,21 @@ def cmd_evolve(args) -> int:
     return EXIT_OK
 
 
-def _element(sc, which: str, formalism: str, mass: float) -> ga.GroupElement:
+def _element(sc, which: str, formalism: str, mass: float,
+             a: float | None = None, v: float | None = None) -> ga.GroupElement:
+    """Element ``which`` of [transform], a sweep value ``a`` or ``v`` replacing
+    the configured one; the fields its kind does not read stay 0."""
     kind = sc.require("transform", which)
     get = lambda k, d=0.0: sc.get("transform", f"{which}_{k}", d)
-    if kind == "translation":
-        return ga.translation(get("a"), formalism, mass)
-    if kind == "momentum_translation":
-        return ga.momentum_translation(get("b"), formalism, mass)
-    if kind == "boost":
-        return ga.boost(get("v"), get("t"), formalism, mass)
-    if kind == "free_time":
-        return ga.free_time(get("t"), formalism, mass)
+    with _config_errors(f"[transform] {which}"):
+        if kind == "translation":
+            return ga.translation(get("a") if a is None else a, formalism, mass)
+        if kind == "momentum_translation":
+            return ga.momentum_translation(get("b"), formalism, mass)
+        if kind == "boost":
+            return ga.boost(get("v") if v is None else v, get("t"), formalism, mass)
+        if kind == "free_time":
+            return ga.free_time(get("t"), formalism, mass)
     raise ScenarioError(f"unknown transform element {kind!r}")
 
 
@@ -314,11 +320,12 @@ def cmd_covariance(args) -> int:
     w0 = build_initial(sc, grid)
     formalism = sc.require("dynamics", "formalism")
     masses = sc.require("dynamics", "masses")
+    if len(masses) != 1:
+        raise ScenarioError("[dynamics]: covariance needs exactly one mass")
     mass = masses[0]
     out_dir = Path(args.out or sc.get("output", "dir", "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     tkind = sc.require("transform", "kind")
-    tol = 1e-6
     worst = 0.0
     rows = []
     if tkind == "weyl":
@@ -326,14 +333,11 @@ def cmd_covariance(args) -> int:
         sweep_v = sc.get("transform", "sweep_v") or (None,)
         for a in sweep_a:
             for v in sweep_v:
-                g1 = _element(sc, "g1", formalism, mass)
-                g2 = _element(sc, "g2", formalism, mass)
-                if v is not None and g1.kind == "boost":
-                    g1 = ga.boost(v, g1.t, formalism, mass)
-                if a is not None and g2.kind == "translation":
-                    g2 = ga.translation(a, formalism, mass)
-                phase, residual = ga.weyl_phase(g1, g2, w0)
-                predicted = ga.predicted_weyl_phase(g1, g2)
+                g1 = _element(sc, "g1", formalism, mass, v=v)
+                g2 = _element(sc, "g2", formalism, mass, a=a)
+                with _config_errors("[transform]"):
+                    phase, residual = ga.weyl_phase(g1, g2, w0)
+                    predicted = ga.predicted_weyl_phase(g1, g2)
                 angle_err = abs(np.angle(phase * np.conj(predicted)))
                 worst = max(worst, residual, angle_err)
                 rows.append((formalism, g1.kind, g2.kind, g2.a, g1.v, g1.t,
@@ -343,11 +347,11 @@ def cmd_covariance(args) -> int:
         sweep_v = sc.get("transform", "sweep_v") or (sc.require("transform", "v"),)
         t_final = read_t_final(sc)
         for v in sweep_v:
-            r = ga.covariance_check(formalism, v, t_final, w0, mass)
-            worst = max(worst, r.residual)
+            with _config_errors("[transform]"):
+                phase, residual = ga.covariance_check(formalism, v, t_final, w0, mass)
+            worst = max(worst, residual)
             rows.append((formalism, "boost+evolve", "evolve+boost", "", v,
-                         t_final, r.phase.real, r.phase.imag, "", "", "",
-                         r.residual))
+                         t_final, phase.real, phase.imag, "", "", "", residual))
     else:
         raise ScenarioError(f"unknown transform kind {tkind!r}")
     with open(out_dir / "covariance.csv", "w", newline="") as fh:
@@ -358,7 +362,7 @@ def cmd_covariance(args) -> int:
     write_manifest(sc, out_dir)
     sys.stdout.write(f"covariance: {len(rows)} rows, worst deviation "
                      f"{worst:.3e} -> {out_dir}\n")
-    return EXIT_OK if worst <= tol else EXIT_VERIFY
+    return EXIT_OK if worst <= 1e-6 else EXIT_VERIFY
 
 
 def cmd_oracle(args) -> int:
@@ -375,15 +379,16 @@ def cmd_oracle(args) -> int:
     interp = sc.get("oracle", "interp", "cubic")
     mask = sc.get("oracle", "mask_threshold", 1e-6)
 
-    record, w = ev.run(w0, plan, t_final, max(1, int(round(t_final / plan.dt))))
     if interp == "closed_form":
         ref_w0, interp_used = w0, "cubic"
     else:
         ref_w0 = Wavefunction(grid, w0.values.copy())  # force sample interpolation
         interp_used = interp
-    ref, valid = chars.reference_solution(
-        ref_w0, plan.masses, plan.potential, t_final, plan.formalism,
-        interp=interp_used, flow_steps=flow_steps)
+    with _config_errors("[oracle]"):    # before the run, so bad settings fail fast
+        ref, valid = chars.reference_solution(
+            ref_w0, plan.masses, plan.potential, t_final, plan.formalism,
+            interp=interp_used, flow_steps=flow_steps)
+    record, w = ev.run(w0, plan, t_final, max(1, int(round(t_final / plan.dt))))
     metrics = chars.compare(w, ref, mask_threshold=mask, valid_mask=valid)
     with open(out_dir / "oracle.csv", "w", newline="") as fh:
         fh.write("t," + ",".join(chars.CompareMetrics.columns) + "\n")

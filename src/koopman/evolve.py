@@ -137,7 +137,7 @@ class Flow:
     """One exact flow: fftn over ``axes``, multiply by each of ``factors``
     (kept in their broadcast shapes), ifftn back.  Without axes the
     factors multiply in physical space."""
-    name: str                    # A (the T part) | B (the V part)
+    name: str                    # A (the T part) | B (the V part) | a group element kind
     weight: float                # duration as a fraction of dt
     axes: tuple
     factors: tuple = field(compare=False, repr=False)
@@ -203,6 +203,8 @@ def build_plan(grid: GridSpec, formalism: str, masses: Sequence[float],
     masses = tuple(float(m) for m in masses)
     if len(masses) != len(qn) + len(xn):
         raise ValueError("need one mass per classical pair and per x axis")
+    if not all(0 < m < np.inf for m in masses):
+        raise ValueError("masses must be positive and finite")
     if dt <= 0:
         raise ValueError("dt must be positive")
 

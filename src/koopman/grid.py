@@ -8,11 +8,9 @@ the integration measure is the product of the spacings.
 
 Multiplication operators act pointwise; the derivative operators
 (-i d/dq, -i d/dp, -i d/dx) act spectrally: transform along one axis,
-multiply by the conjugate wavenumber, transform back.  Shifts by
-arbitrary (non-grid) amounts are exact for band-limited data via
-spectral phase factors.  All reductions use numpy's fixed pairwise
-summation, so results are deterministic and independent of the FFT
-worker count.
+multiply by the conjugate wavenumber, transform back.  All reductions
+use numpy's fixed pairwise summation, so results are deterministic and
+independent of the FFT worker count.
 
 Binary state dumps use a 64-byte preamble (magic ``KVHW``, version,
 rank) followed by one 32-byte record per axis (name, points, min,
@@ -174,21 +172,6 @@ def apply_lambda(w: Wavefunction, name: str) -> Wavefunction:
     i = w.grid.index(name)
     k = w.grid.wavenumber(name)
     return Wavefunction(w.grid, _ifft(k * _fft(w.values, (i,)), (i,)))
-
-
-def shift(w: Wavefunction, name: str, amount) -> Wavefunction:
-    """Exact spectral shift psi -> psi(... coord - amount ...).
-
-    ``amount`` may depend on the other axes (broadcastable array) but not
-    on the shifted axis itself.
-    """
-    i = w.grid.index(name)
-    amount = np.asarray(amount)
-    if amount.ndim == len(w.grid.shape) and amount.shape[i] != 1:
-        raise ValueError("shift amount may not vary along the shifted axis")
-    k = w.grid.wavenumber(name)
-    return Wavefunction(
-        w.grid, _ifft(np.exp(-1j * k * amount) * _fft(w.values, (i,)), (i,)))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from koopman import cli
 from koopman import evolve as ev
+from koopman import galilei as ga
 from koopman.grid import load_state
 
 TINY_EVOLVE = """
@@ -178,6 +179,53 @@ def test_config_errors(tmp_path, capsys):
     nosample.write_text(TINY_EVOLVE.replace("sample_every = 5", "sample_every = 0"))
     one_line_error(["evolve", str(nosample), "--out", str(tmp_path / "s")],
                    "sample_every")
+
+    # malformed covariance, oracle and mass settings: one-line messages
+    weyl, weyl_kvn = "scenarios/weyl_kvh.cfg", "scenarios/weyl_kvn.cfg"
+    oracle_cfg = "scenarios/oracle_free_kvh.cfg"
+    zero_mass = (("masses = 1.0", "masses = 0.0"),)
+    x_axis = (("axes = q, p", "axes = q, p, x"),
+              ("[dynamics]", "[axis.x]\nmin = -8.0\nextent = 16.0\npoints = 16\n\n[dynamics]"),
+              ("centers = 0.3, -0.4", "centers = 0.3, -0.4, 0.0"),
+              ("widths = 1.0, 0.7", "widths = 1.0, 0.7, 3.0"))
+    cases = [
+        ("covariance", weyl, (("masses = 1.0", "masses ="),), "exactly one mass"),
+        ("covariance", weyl, x_axis, "single-particle"),
+        ("covariance", weyl_kvn, (("formalism = kvn", "formalism = hybrid"),),
+         "[transform] g1: unknown formalism 'hybrid'"),
+        ("covariance", weyl_kvn, (("g1_v = 1.3", "g1_v = inf"),),
+         "[transform] g1: group parameters must be finite"),
+        ("covariance", weyl_kvn, zero_mass, "mass must be positive and finite"),
+        ("covariance", "scenarios/covariance_kvh.cfg", zero_mass,
+         "mass must be positive and finite"),
+        ("evolve", "scenarios/free_kvh.cfg", zero_mass,
+         "[dynamics]: masses must be positive and finite"),
+        ("oracle", oracle_cfg, (("flow_steps = 64", "flow_steps = 0"),),
+         "[oracle]: steps must be >= 1"),
+        ("oracle", oracle_cfg, (("interp = closed_form", "interp = nope"),),
+         "unknown interpolation mode 'nope'"),
+    ]
+    for n, (command, source, edits, needle) in enumerate(cases):
+        text = open(source).read()
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
+        path = tmp_path / f"case{n}.cfg"
+        path.write_text(text)
+        one_line_error([command, str(path), "--out", str(tmp_path / "v")], needle)
+
+
+def test_element_ignores_fields_its_kind_does_not_use(tmp_path):
+    # a translation whose section also sets g1_v and g1_t must not move by v t
+    cfg = tmp_path / "weyl.cfg"
+    cfg.write_text(open("scenarios/weyl_kvn.cfg").read()
+                   .replace("g1 = boost", "g1 = translation\ng1_a = 0.4")
+                   .replace("g1_t = 0.0", "g1_t = 0.7"))
+    sc = cli.parse_scenario(cfg)
+    assert (sc.get("transform", "g1_v"), sc.get("transform", "g1_t")) == (1.3, 0.7)
+    expect = ga.translation(0.4, "kvn", 1.0)
+    assert cli._element(sc, "g1", "kvn", 1.0) == expect
+    assert cli._element(sc, "g1", "kvn", 1.0, v=1.5) == expect
 
 
 def test_numerical_abort_exit_code(tiny_cfg, monkeypatch, tmp_path):

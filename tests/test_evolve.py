@@ -105,6 +105,9 @@ def test_build_plan_validation():
         ev.build_plan(GRID, "kvn", [1.0, 2.0], free, 0.1)
     with pytest.raises(ValueError, match="dt"):
         ev.build_plan(GRID, "kvn", [1.0], free, -0.1)
+    for mass in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="masses must be positive and finite"):
+            ev.build_plan(GRID, "kvh", [mass], free, 0.1)
     g3 = make_grid("qpx", 32)
     with pytest.raises(ValueError, match="x axes"):
         ev.build_plan(g3, "kvn", [1.0, 1.0], ev.make_potential("free", g3), 0.1)

@@ -54,6 +54,25 @@ def test_acts_are_unitary_and_invertible():
         assert np.max(np.abs(back.values - W.values)) <= 1e-10
 
 
+@settings(max_examples=40, deadline=None)
+@given(formalism=st.sampled_from(["kvn", "kvh"]), m=st.floats(0.5, 2.0),
+       a=st.floats(-0.8, 0.8), b=st.floats(-1.5, 1.5),
+       v=st.floats(-0.75, 0.75), t=st.floats(-1.0, 1.0))
+def test_acts_match_closed_form_at_shifted_points(formalism, m, a, b, v, t):
+    # shifts of at most 0.8 in q and 1.5 in p keep the tail of W that
+    # wraps round the periodic grid below 1e-10 (3e-11 at the corners)
+    q, p = GRID.coordinate("q"), GRID.coordinate("p")
+    at = lambda dq, dp: np.broadcast_to(W.closed_form({"q": q - dq, "p": p - dp}),
+                                        GRID.shape)
+    boosted = at(v * t, m * v)
+    if formalism == "kvh":
+        boosted = boosted * np.exp(1j * (m * q * v - m * t * v ** 2 / 2))
+    for g, expect in ((ga.translation(a, formalism, m), at(a, 0.0)),
+                      (ga.momentum_translation(b, formalism, m), at(0.0, b)),
+                      (ga.boost(v, t, formalism, m), boosted)):
+        assert np.max(np.abs(ga.act(g, W).values - expect)) <= 1e-10
+
+
 def test_rotation_rejected_on_grids():
     # rotations live in the symbolic module only (dimension >= 2)
     with pytest.raises(ValueError, match="kind"):
@@ -65,6 +84,9 @@ def test_group_element_validation():
         ga.GroupElement("twist", "kvn")
     with pytest.raises(ValueError, match="finite"):
         ga.translation(np.inf, "kvn")
+    for mass in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="mass must be positive and finite"):
+            ga.boost(0.5, 0.0, "kvh", mass)
 
 
 def test_weyl_phase_plain_representation_commutes():
@@ -137,12 +159,12 @@ def test_noncentral_pair_is_rejected_and_measured():
 
 @pytest.mark.parametrize("formalism", ["kvn", "kvh"])
 def test_covariance_free_dynamics(formalism):
-    r = ga.covariance_check(formalism, 1.0, 0.5, W)
-    assert r.residual <= 1e-6
-    assert abs(r.phase - 1.0) <= 1e-6
+    phase, residual = ga.covariance_check(formalism, 1.0, 0.5, W)
+    assert residual <= 1e-6
+    assert abs(phase - 1.0) <= 1e-6
 
 
 def test_covariance_trivial_at_zero_velocity():
-    r = ga.covariance_check("kvh", 0.0, 0.5, W)
-    assert r.residual <= 1e-12
-    assert abs(r.phase - 1.0) <= 1e-12
+    phase, residual = ga.covariance_check("kvh", 0.0, 0.5, W)
+    assert residual <= 1e-12
+    assert abs(phase - 1.0) <= 1e-12

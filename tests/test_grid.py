@@ -1,9 +1,13 @@
+import string
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koopman.grid import (
     Axis, GridSpec, Wavefunction, apply_lambda, dump_state, gaussian_init,
-    inner_product, leakage, load_state, norm, phase_mask, shift,
+    inner_product, leakage, load_state, norm, phase_mask,
 )
 
 
@@ -149,16 +153,6 @@ def test_gaussian_marginals():
     assert np.max(np.abs(dens - expect)) <= 1e-10
 
 
-def test_shift_matches_closed_form():
-    w = gaussian_init(GRID, (0.0, 0.0), (1.0, 1.0))
-    a = 0.3137  # not a grid multiple
-    got = shift(w, "q", a)
-    ref = w.closed_form({"q": GRID.coordinate("q") - a, "p": GRID.coordinate("p")})
-    assert np.max(np.abs(got.values - np.broadcast_to(ref, GRID.shape))) <= 1e-12
-    with pytest.raises(ValueError, match="shifted axis"):
-        shift(w, "q", GRID.coordinate("q"))
-
-
 def test_phase_mask_and_leakage():
     assert phase_mask(W).sum() < W.values.size
     assert leakage(W) <= 1e-8
@@ -176,6 +170,33 @@ def test_dump_roundtrip(tmp_path):
     bad.write_bytes(b"NOPE" + bytes(60))
     with pytest.raises(ValueError, match="not a KVHW"):
         load_state(bad)
+
+
+_AXES = st.lists(
+    st.tuples(st.sampled_from("qpx"),
+              st.text(string.ascii_letters + string.digits + "_", max_size=7),
+              st.floats(-1e6, 1e6), st.floats(1e-3, 1e6), st.sampled_from((8, 16, 32))),
+    min_size=1, max_size=4, unique_by=lambda ax: ax[0] + ax[1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(axes=_AXES, head=st.lists(st.complex_numbers(allow_nan=False), max_size=8),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_dump_roundtrip_is_byte_exact(tmp_path_factory, axes, head, seed):
+    grid = GridSpec(tuple(Axis(role + rest, role, lo, ext, n)
+                          for role, rest, lo, ext, n in axes))
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    for part in (values.real, values.imag):     # signed zeros on a quarter of each
+        zero = rng.random(grid.shape) < 0.25
+        part[zero] = np.copysign(0.0, rng.standard_normal(int(zero.sum())))
+    flat = values.reshape(-1)
+    flat[:len(head)] = head[:flat.size]
+    path = tmp_path_factory.mktemp("kvhw") / "state.kvhw"
+    dump_state(Wavefunction(grid, values), path)
+    back = load_state(path)
+    assert back.grid == grid
+    assert back.values.tobytes() == values.tobytes()
 
 
 def test_dump_rejects_long_axis_name_before_writing(tmp_path):
