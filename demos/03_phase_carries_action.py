@@ -40,9 +40,9 @@ print("     q      p     arg psi      S mod 2pi")
 for qv, pv in ((0.0, 2.0), (1.0, 1.0), (-0.5, 2.5)):
     iq = int(round((qv - grid.axis("q").min) / grid.axis("q").spacing))
     ip = int(round((pv - grid.axis("p").min) / grid.axis("p").spacing))
-    bundle = integrate_flow([1.0], pot, ("q",), np.array([[qv, pv]]),
-                            -t_final, 1000)
-    s_fwd = -bundle.action[-1][0]
+    _, _, s_back = integrate_flow([1.0], pot, ("q",), np.array([[qv, pv]]),
+                                  -t_final, 1000)
+    s_fwd = -s_back[0]
     wrapped = np.angle(np.exp(1j * s_fwd))
     print(f"  {qv:5.2f}  {pv:5.2f}  {np.angle(w.values[iq, ip]):+10.6f}"
           f"  {wrapped:+10.6f}")

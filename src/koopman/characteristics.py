@@ -10,10 +10,11 @@ accumulates the action as an augmented state, and reconstructs reference
 wavefunctions semi-Lagrangian style: trace every grid node backward,
 evaluate the initial state there, multiply by exp(i S).
 
-Initial states that carry their closed form (gaussian_init does) are
-evaluated exactly at the backward-flow points; otherwise the sampled
-state is interpolated (periodic cubic by default, or band-limited
-4x upsampling followed by cubic for the "spectral" knob).
+The ``interp`` mode alone decides how the initial state is read at the
+backward-flow points: "closed_form" evaluates the state's closed form
+exactly (gaussian_init states carry one), "cubic" interpolates the
+samples with periodic cubic splines, and "spectral" upsamples them 4x
+band-limited before the cubic step.
 """
 
 from __future__ import annotations
@@ -35,41 +36,13 @@ _RK4_WEIGHTS = (1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0)
 _FLOW_BLOCK = 8192
 
 
-@dataclass
-class TrajectoryBundle:
-    """Start and end of the flow for a batch of seeds, with the action.
-
-    positions/momenta have shape (2, nseeds, npairs), action (2, nseeds).
-    """
-    positions: np.ndarray
-    momenta: np.ndarray
-    action: np.ndarray
-    masses: tuple
-    potential: Potential
-    qnames: tuple
-
-    def energies(self) -> np.ndarray:
-        kin = np.zeros(self.positions.shape[:2])
-        for d, m in enumerate(self.masses):
-            kin += self.momenta[:, :, d] ** 2 / (2 * m)
-        if self.potential.cpoly is None:
-            return kin
-        bindings = dict(self.potential.constants)
-        for d, name in enumerate(self.qnames):
-            bindings[name] = self.positions[..., d]
-        return kin + self.potential.cpoly.evaluate(bindings).real
-
-    def energy_drift(self) -> float:
-        e = self.energies()
-        return float(np.max(np.abs(e - e[0])))
-
-
 def integrate_flow(masses: Sequence[float], potential: Potential,
                    qnames: Sequence[str], seeds: np.ndarray,
-                   t_final: float, steps: int) -> TrajectoryBundle:
+                   t_final: float, steps: int):
     """Fixed-step RK4 for dq = p/m, dp = -dV/dq, dS = sum p^2/2m - V.
 
-    ``seeds`` has shape (n, 2*npairs): q columns then p columns.
+    ``seeds`` has shape (n, 2*npairs): q columns then p columns.  Returns
+    the end state (q, p, S), shaped (n, npairs), (n, npairs) and (n,).
     Negative t_final integrates backward (the action integral is then
     the backward accumulation; negate it for the forward action).
     V and its gradient are compiled once.  Seeds are integrated in
@@ -79,7 +52,6 @@ def integrate_flow(masses: Sequence[float], potential: Potential,
     if steps < 1:
         raise ValueError("steps must be >= 1")
     seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
-    qnames = tuple(qnames)
     npair = len(qnames)
     if seeds.shape[1] != 2 * npair:
         raise ValueError("seeds must have q columns then p columns")
@@ -134,21 +106,21 @@ def integrate_flow(masses: Sequence[float], potential: Potential,
             Pb += np.multiply(ap, h, out=ap)
             Sb += np.multiply(as_, h, out=as_)
 
-    return TrajectoryBundle(
-        positions=np.array([seeds[:, :npair], Q]), momenta=np.array([seeds[:, npair:], P]),
-        action=np.array([np.zeros_like(S), S]),
-        masses=tuple(masses), potential=potential, qnames=qnames)
+    return Q, P, S
 
 
 # ---------------------------------------------------------------------------
 # semi-Lagrangian reconstruction
 # ---------------------------------------------------------------------------
 
-def _interpolate_samples(w0: Wavefunction, points: dict, order_mode: str) -> np.ndarray:
-    """Periodic interpolation of sampled amplitudes at arbitrary points."""
-    grid = w0.grid
-    values = w0.values
-    if order_mode == "spectral":
+_INTERP_MODES = ("closed_form", "cubic", "spectral")
+
+
+def _interpolate_samples(w0: Wavefunction, points: dict, mode: str) -> np.ndarray:
+    """Periodic "cubic" or "spectral" interpolation of the sampled
+    amplitudes at arbitrary points."""
+    values, scale = w0.values, 1
+    if mode == "spectral":
         # band-limited 4x upsampling, then cubic on the refined grid
         factor = 4
         spec = np.fft.fftn(values)
@@ -158,15 +130,8 @@ def _interpolate_samples(w0: Wavefunction, points: dict, order_mode: str) -> np.
         big[idx] = spec
         values = np.fft.ifftn(big) * factor ** len(shape)
         scale = factor
-    elif order_mode == "cubic":
-        scale = 1
-    else:
-        raise ValueError(f"unknown interpolation mode {order_mode!r}")
-    idx_coords = []
-    for a in grid.axes:
-        z = points[a.name]
-        idx_coords.append((np.asarray(z) - a.min) / a.spacing * scale)
-    idx_coords = np.array(idx_coords)
+    idx_coords = np.array([(np.asarray(points[a.name]) - a.min) / a.spacing * scale
+                           for a in w0.grid.axes])
     re = map_coordinates(values.real, idx_coords, order=3, mode="grid-wrap")
     im = map_coordinates(values.imag, idx_coords, order=3, mode="grid-wrap")
     return re + 1j * im
@@ -174,16 +139,21 @@ def _interpolate_samples(w0: Wavefunction, points: dict, order_mode: str) -> np.
 
 def reference_solution(w0: Wavefunction, masses: Sequence[float],
                        potential: Potential, t: float, formalism: str,
-                       interp: str = "cubic", flow_steps: int | None = None):
+                       interp: str = "closed_form", flow_steps: int | None = None):
     """Exact-transport reference at time t on w0's grid.
 
     Returns (wavefunction, valid_mask); nodes whose backward trajectory
     leaves the sampled domain are flagged False and should be excluded
-    from comparisons.  Uses w0.closed_form when available (exact
-    evaluation), else periodic interpolation of the samples.
+    from comparisons.  ``interp`` is one of "closed_form" (exact
+    evaluation of w0.closed_form; ValueError when w0 has none), "cubic"
+    or "spectral" (interpolation of the samples, closed form or not).
     """
     if formalism not in ("kvn", "kvh"):
         raise ValueError("reference solutions cover kvn and kvh only")
+    if interp not in _INTERP_MODES:
+        raise ValueError(f"unknown interpolation mode {interp!r}")
+    if interp == "closed_form" and w0.closed_form is None:
+        raise ValueError("interp 'closed_form' needs a state with a closed form")
     grid = w0.grid
     qnames, pnames = grid.names("q"), grid.names("p")
     if grid.names("x"):
@@ -193,34 +163,23 @@ def reference_solution(w0: Wavefunction, masses: Sequence[float],
     if flow_steps is None:
         flow_steps = max(64, int(round(abs(t) / 0.002)))
 
-    mesh = [grid.coordinate(n) for n in qnames] + [grid.coordinate(n) for n in pnames]
-    mesh = [np.broadcast_to(m, grid.shape).ravel() for m in mesh]
-    seeds = np.stack(mesh, axis=1)
-
+    names = qnames + pnames
+    seeds = np.stack([np.broadcast_to(grid.coordinate(n), grid.shape).ravel()
+                      for n in names], axis=1)
     if t == 0:
-        arrival_q = seeds[:, : len(qnames)]
-        arrival_p = seeds[:, len(qnames):]
-        s_fwd = np.zeros(len(seeds))
+        arrival, s_fwd = seeds.T, np.zeros(len(seeds))
     else:
-        bundle = integrate_flow(masses, potential, qnames, seeds, -t, flow_steps)
-        arrival_q = bundle.positions[-1]
-        arrival_p = bundle.momenta[-1]
-        s_fwd = -bundle.action[-1]
+        q, p, s_back = integrate_flow(masses, potential, qnames, seeds, -t, flow_steps)
+        arrival, s_fwd = [*q.T, *p.T], -s_back
 
     points = {}
     valid = np.ones(len(seeds), dtype=bool)
-    for d, name in enumerate(qnames):
+    for name, z in zip(names, arrival):
         a = grid.axis(name)
-        z = arrival_q[:, d]
-        valid &= (z >= a.min) & (z < a.min + a.extent)
-        points[name] = z
-    for d, name in enumerate(pnames):
-        a = grid.axis(name)
-        z = arrival_p[:, d]
         valid &= (z >= a.min) & (z < a.min + a.extent)
         points[name] = z
 
-    if w0.closed_form is not None:
+    if interp == "closed_form":
         amp = np.asarray(w0.closed_form(points), dtype=complex)
     else:
         amp = _interpolate_samples(w0, points, interp)
@@ -245,53 +204,42 @@ class CompareMetrics:
     residual_after_global: float
     excluded_fraction: float
 
-    def to_row(self) -> tuple:
-        return (self.l2, self.masked_linf, self.modulus_l2,
-                self.modulus_masked_linf, self.phase_masked_maxabs,
-                self.global_phase, self.residual_after_global,
-                self.excluded_fraction)
-
-    columns = ("l2", "masked_linf", "modulus_l2", "modulus_masked_linf",
-               "phase_masked_maxabs", "global_phase", "residual_after_global",
-               "excluded_fraction")
-
 
 def compare(a: Wavefunction, b: Wavefunction, mask_threshold: float = 1e-6,
             valid_mask: np.ndarray | None = None) -> CompareMetrics:
     """Difference metrics between two states on one grid.
 
-    The phase comparison removes (and reports) the best-fit global phase
-    and is restricted to the mask |b| > mask_threshold * max|b| (phase is
-    meaningless in exponential tails), intersected with valid_mask.
+    L2 norms run over the valid nodes.  The L-infinity norms and the
+    phase comparison are restricted to the mask |b| > mask_threshold *
+    max|b| (phase is meaningless in exponential tails), intersected with
+    valid_mask; the phase comparison removes (and reports) the best-fit
+    global phase.
     """
     if a.grid != b.grid:
         raise ValueError("grid mismatch")
     wgt = a.grid.cell_weight
     mask = phase_mask(b, mask_threshold)
-    total = mask.size
     if valid_mask is not None:
         mask = mask & valid_mask
-        excluded = 1.0 - float(np.sum(valid_mask)) / total
+        excluded = 1.0 - float(np.sum(valid_mask)) / mask.size
     else:
         excluded = 0.0
-    diff = a.values - b.values
-    if valid_mask is not None:
-        diff = np.where(valid_mask, diff, 0.0)
-    l2 = float(np.sqrt(np.sum(np.abs(diff) ** 2) * wgt))
-    masked_linf = float(np.max(np.abs(diff)[mask])) if mask.any() else 0.0
-    dmod = np.abs(a.values) - np.abs(b.values)
-    if valid_mask is not None:
-        dmod = np.where(valid_mask, dmod, 0.0)
-    modulus_l2 = float(np.sqrt(np.sum(dmod ** 2) * wgt))
-    modulus_masked_linf = float(np.max(np.abs(dmod)[mask])) if mask.any() else 0.0
+    masked = mask.any()
 
+    def norms(diff):
+        """(L2 over the valid nodes, L-infinity over the mask)."""
+        if valid_mask is not None:
+            diff = np.where(valid_mask, diff, 0.0)
+        mag = np.abs(diff)
+        return (float(np.sqrt(np.sum(mag ** 2) * wgt)),
+                float(np.max(mag[mask])) if masked else 0.0)
+
+    l2, masked_linf = norms(a.values - b.values)
+    modulus_l2, modulus_masked_linf = norms(np.abs(a.values) - np.abs(b.values))
     ov = inner_product(b, a)
     phi = float(np.angle(ov)) if ov != 0 else 0.0
-    shifted = a.values - np.exp(1j * phi) * b.values
-    if valid_mask is not None:
-        shifted = np.where(valid_mask, shifted, 0.0)
-    residual = float(np.sqrt(np.sum(np.abs(shifted) ** 2) * wgt))
-    if mask.any():
+    residual, _ = norms(a.values - np.exp(1j * phi) * b.values)
+    if masked:
         rel = a.values[mask] * np.conj(b.values[mask]) * np.exp(-1j * phi)
         phase_err = float(np.max(np.abs(np.angle(rel))))
     else:

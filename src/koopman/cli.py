@@ -20,7 +20,7 @@ import configparser
 import csv
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -119,27 +119,23 @@ def parse_scenario(path) -> Scenario:
 
     sections: dict = {}
     for sec in cp.sections():
-        if sec.startswith("axis."):
-            name = sec.split(".", 1)[1]
-            parsed = {}
-            for key, raw in cp[sec].items():
-                if key not in _AXIS_KEYS:
-                    raise ScenarioError(f"unknown key {key!r} in section [{sec}]")
-                parsed[key] = _AXIS_KEYS[key](raw)
-            sections.setdefault("axis", {})[name] = parsed
-            continue
-        if sec not in _SCHEMA:
+        axis = sec.startswith("axis.")
+        schema = _AXIS_KEYS if axis else _SCHEMA.get(sec)
+        if schema is None:
             raise ScenarioError(f"unknown section [{sec}]")
         parsed = {}
         for key, raw in cp[sec].items():
-            if key not in _SCHEMA[sec]:
+            if key not in schema:
                 raise ScenarioError(f"unknown key {key!r} in section [{sec}]")
             try:
-                parsed[key] = _SCHEMA[sec][key](raw)
+                parsed[key] = schema[key](raw)
             except ValueError as e:
                 raise ScenarioError(
                     f"bad value for {key!r} in [{sec}]: {raw!r} ({e})") from e
-        sections[sec] = parsed
+        if axis:
+            sections.setdefault("axis", {})[sec.split(".", 1)[1]] = parsed
+        else:
+            sections[sec] = parsed
     if "run" not in sections or "kind" not in sections["run"]:
         raise ScenarioError("missing [run] kind")
     kind = sections["run"]["kind"]
@@ -379,20 +375,15 @@ def cmd_oracle(args) -> int:
     interp = sc.get("oracle", "interp", "cubic")
     mask = sc.get("oracle", "mask_threshold", 1e-6)
 
-    if interp == "closed_form":
-        ref_w0, interp_used = w0, "cubic"
-    else:
-        ref_w0 = Wavefunction(grid, w0.values.copy())  # force sample interpolation
-        interp_used = interp
     with _config_errors("[oracle]"):    # before the run, so bad settings fail fast
         ref, valid = chars.reference_solution(
-            ref_w0, plan.masses, plan.potential, t_final, plan.formalism,
-            interp=interp_used, flow_steps=flow_steps)
+            w0, plan.masses, plan.potential, t_final, plan.formalism,
+            interp=interp, flow_steps=flow_steps)
     record, w = ev.run(w0, plan, t_final, max(1, int(round(t_final / plan.dt))))
     metrics = chars.compare(w, ref, mask_threshold=mask, valid_mask=valid)
     with open(out_dir / "oracle.csv", "w", newline="") as fh:
-        fh.write("t," + ",".join(chars.CompareMetrics.columns) + "\n")
-        fh.write(",".join(_fmt(v) for v in (t_final,) + metrics.to_row()) + "\n")
+        fh.write(",".join(["t"] + [f.name for f in fields(metrics)]) + "\n")
+        fh.write(",".join(_fmt(v) for v in (t_final,) + astuple(metrics)) + "\n")
     write_manifest(sc, out_dir)
     sys.stdout.write(
         f"oracle: l2={metrics.l2:.3e} masked_linf={metrics.masked_linf:.3e} "

@@ -84,23 +84,17 @@ class Potential:
         return out
 
 
-def make_potential(kind: str, grid: GridSpec, constants: Mapping | None = None,
-                   cpoly: CPoly | None = None) -> Potential:
+def make_potential(kind: str, grid: GridSpec, constants: Mapping | None = None) -> Potential:
     """Named potential families over a grid's coordinates.
 
     harmonic:    kappa/2 sum q^2        (any number of q axes)
     quartic:     alpha/4 sum q^4
     pair:        kappa/2 (q1 - q2)^2    (exactly two q axes)
     hybrid_pair: kappa/2 (q - x)^2      (one q and one x axis)
-    poly:        caller-supplied CPoly over coordinate + constant symbols
     """
     constants = {k: float(v) for k, v in (constants or {}).items()}
     if kind == "free":
         return Potential(kind, None, constants)
-    if kind == "poly":
-        if cpoly is None:
-            raise ValueError("poly potential needs an explicit CPoly")
-        return Potential(kind, cpoly, constants)
 
     qnames = grid.names("q")
     xnames = grid.names("x")

@@ -30,6 +30,11 @@ from .evolve import Flow, free_flow
 from .grid import Wavefunction, inner_product, norm
 
 
+# the parameters each kind reads; the others must stay 0
+_READS = {"translation": "a", "momentum_translation": "b", "boost": "vt",
+          "free_time": "t"}
+
+
 @dataclass(frozen=True)
 class GroupElement:
     """One finite transformation; boosts carry their evaluation time
@@ -43,8 +48,7 @@ class GroupElement:
     t: float = 0.0   # boost evaluation time / time-translation span
 
     def __post_init__(self):
-        if self.kind not in ("translation", "momentum_translation", "boost",
-                             "free_time"):
+        if self.kind not in _READS:
             raise ValueError(f"unknown group element kind {self.kind!r}")
         if self.formalism not in ("kvn", "kvh"):
             raise ValueError(f"unknown formalism {self.formalism!r}")
@@ -53,6 +57,9 @@ class GroupElement:
         for value in (self.a, self.b, self.v, self.t):
             if not np.isfinite(value):
                 raise ValueError("group parameters must be finite")
+        unread = [f for f in "abvt" if f not in _READS[self.kind] and getattr(self, f)]
+        if unread:
+            raise ValueError(f"a {self.kind} does not read {', '.join(unread)}")
 
 
 def translation(a: float, formalism: str, mass: float = 1.0) -> GroupElement:

@@ -18,19 +18,20 @@ HARMONIC = ev.make_potential("harmonic", GRID, {"kappa": 1.0})
 
 def test_free_flow_closed_form():
     seeds = np.array([[1.0, 2.0], [0.0, -1.0]])
-    b = ch.integrate_flow([1.0], FREE, ("q",), seeds, 0.5, 16)
-    assert np.allclose(b.positions[-1][:, 0], [2.0, -0.5], atol=1e-14)
-    assert np.allclose(b.momenta[-1][:, 0], [2.0, -1.0], atol=1e-14)
+    q, p, s = ch.integrate_flow([1.0], FREE, ("q",), seeds, 0.5, 16)
+    assert np.allclose(q[:, 0], [2.0, -0.5], atol=1e-14)
+    assert np.allclose(p[:, 0], [2.0, -1.0], atol=1e-14)
     # action = p^2 t / 2m, exact for the integrator on this flow
-    assert np.allclose(b.action[-1], [1.0, 0.25], atol=1e-13)
+    assert np.allclose(s, [1.0, 0.25], atol=1e-13)
 
 
 def test_harmonic_period_and_energy_drift():
     seeds = np.array([[1.0, 2.0], [-0.5, 0.3]])
-    b = ch.integrate_flow([1.0], HARMONIC, ("q",), seeds, 2 * np.pi, 4096)
-    assert b.energy_drift() <= 1e-10
-    assert np.max(np.abs(b.positions[-1] - b.positions[0])) <= 1e-9
-    assert np.max(np.abs(b.momenta[-1] - b.momenta[0])) <= 1e-9
+    q, p, _ = ch.integrate_flow([1.0], HARMONIC, ("q",), seeds, 2 * np.pi, 4096)
+    energy = lambda z: 0.5 * z[:, 1] ** 2 + 0.5 * z[:, 0] ** 2   # m = kappa = 1
+    assert np.max(np.abs(energy(np.hstack([q, p])) - energy(seeds))) <= 1e-10
+    assert np.max(np.abs(q - seeds[:, :1])) <= 1e-9
+    assert np.max(np.abs(p - seeds[:, 1:])) <= 1e-9
 
 
 def test_action_self_convergence():
@@ -39,19 +40,19 @@ def test_action_self_convergence():
     seeds = np.array([[1.0, 2.0]])
     vals = []
     for steps in (128, 256, 512):
-        b = ch.integrate_flow([1.0], HARMONIC, ("q",), seeds, 2 * np.pi, steps)
-        vals.append(b.action[-1][0])
+        _, _, s = ch.integrate_flow([1.0], HARMONIC, ("q",), seeds, 2 * np.pi, steps)
+        vals.append(s[0])
     ratio = abs(vals[0] - vals[1]) / abs(vals[1] - vals[2])
     assert 10 <= ratio <= 22  # 4th order gives 16
 
 
 def test_trajectory_self_convergence_is_fourth_order():
     seeds = np.array([[1.0, 0.5]])
-    ref = ch.integrate_flow([1.0], HARMONIC, ("q",), seeds, 1.0, 4096)
+    ref, _, _ = ch.integrate_flow([1.0], HARMONIC, ("q",), seeds, 1.0, 4096)
     e = []
     for steps in (16, 32):
-        b = ch.integrate_flow([1.0], HARMONIC, ("q",), seeds, 1.0, steps)
-        e.append(abs(b.positions[-1][0, 0] - ref.positions[-1][0, 0]))
+        q, _, _ = ch.integrate_flow([1.0], HARMONIC, ("q",), seeds, 1.0, steps)
+        e.append(abs(q[0, 0] - ref[0, 0]))
     assert e[0] / e[1] == pytest.approx(16, rel=0.3)
 
 
@@ -59,11 +60,9 @@ def test_flow_symplectic_area_proxy():
     eps = 1e-5
     z0 = np.array([1.0, 0.7])
     seeds = np.array([z0, z0 + [eps, 0], z0 + [0, eps]])
-    b = ch.integrate_flow([1.0], HARMONIC, ("q",), seeds, 2 * np.pi, 4096)
-    dq1 = b.positions[-1][1] - b.positions[-1][0]
-    dp1 = b.momenta[-1][1] - b.momenta[-1][0]
-    dq2 = b.positions[-1][2] - b.positions[-1][0]
-    dp2 = b.momenta[-1][2] - b.momenta[-1][0]
+    q, p, _ = ch.integrate_flow([1.0], HARMONIC, ("q",), seeds, 2 * np.pi, 4096)
+    dq1, dp1 = q[1] - q[0], p[1] - p[0]
+    dq2, dp2 = q[2] - q[0], p[2] - p[0]
     area = dq1[0] * dp2[0] - dq2[0] * dp1[0]
     assert area / eps ** 2 == pytest.approx(1.0, abs=1e-8)
 
@@ -109,13 +108,25 @@ def test_reference_interpolation_modes():
     err_s = np.max(np.abs(got_s.values - exact.values)[valid])
     assert err_c <= 1e-4
     assert err_s <= err_c / 10  # refinement pays off on band-limited data
-    with pytest.raises(ValueError, match="interpolation"):
-        ch.reference_solution(sampled, [1.0], HARMONIC, 0.3, "kvh", interp="nope")
+    # the mode alone decides: a state with a closed form is interpolated too
+    got_w0, _ = ch.reference_solution(W0, [1.0], HARMONIC, 0.3, "kvh",
+                                      interp="cubic", flow_steps=300)
+    assert np.array_equal(got_w0.values, got_c.values)
 
 
-def test_reference_validation():
+def test_reference_validation(monkeypatch):
     with pytest.raises(ValueError, match="kvn and kvh"):
         ch.reference_solution(W0, [1.0], FREE, 0.1, "hybrid")
+
+    # the mode is checked before any flow starts
+    def no_flow(*args, **kwargs):
+        raise AssertionError("integrate_flow called")
+    monkeypatch.setattr(ch, "integrate_flow", no_flow)
+    with pytest.raises(ValueError, match="unknown interpolation mode 'nope'"):
+        ch.reference_solution(W0, [1.0], HARMONIC, 0.3, "kvh", interp="nope")
+    sampled = Wavefunction(GRID, W0.values.copy())
+    with pytest.raises(ValueError, match="needs a state with a closed form"):
+        ch.reference_solution(sampled, [1.0], HARMONIC, 0.3, "kvh")
 
 
 def test_compare_identical_and_global_phase():
@@ -180,11 +191,9 @@ def test_flow_matches_plain_rk4(kind, seed, t_final):
     rng = np.random.default_rng(seed)
     # more seeds than one block, so the last block is a partial one
     seeds = rng.uniform(-2.0, 2.0, size=(ch._FLOW_BLOCK + 37, 2 * len(qnames)))
-    b = ch.integrate_flow(masses, pot, qnames, seeds, t_final, 40)
-    q, p, s = _plain_rk4(masses, force, potential, seeds, t_final, 40)
-    np.testing.assert_allclose(b.positions[-1], q, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(b.momenta[-1], p, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(b.action[-1], s, rtol=1e-12, atol=1e-12)
-    assert np.array_equal(b.positions[0], seeds[:, :len(qnames)])
-    assert np.array_equal(b.momenta[0], seeds[:, len(qnames):])
-    assert not b.action[0].any()
+    start = seeds.copy()
+    got = ch.integrate_flow(masses, pot, qnames, seeds, t_final, 40)
+    want = _plain_rk4(masses, force, potential, seeds, t_final, 40)
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(seeds, start)   # the seeds are left as they were

@@ -2,6 +2,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koopman import cli
 from koopman import evolve as ev
@@ -160,6 +162,18 @@ def test_config_errors(tmp_path, capsys):
     dangling.write_text("[run]\nkind = evolve\norphan\n")
     one_line_error(["evolve", str(dangling)], "(line 3)")
 
+    # malformed axis values go through the same typed parse as every section
+    for old, new, needle in (
+            ("points = 32\n\n[axis.p]", "points = 12.5\n\n[axis.p]",
+             "bad value for 'points' in [axis.q]: '12.5'"),
+            ("min = -8.0\nextent = 16.0\npoints = 32\n\n[dynamics]",
+             "min =\nextent = 16.0\npoints = 32\n\n[dynamics]",
+             "bad value for 'min' in [axis.p]: ''")):
+        assert old in TINY_EVOLVE
+        axis_cfg = tmp_path / "axis.cfg"
+        axis_cfg.write_text(TINY_EVOLVE.replace(old, new))
+        one_line_error(["evolve", str(axis_cfg), "--out", str(tmp_path / "a")], needle)
+
     # malformed time settings: one-line messages, no traceback
     cov = tmp_path / "cov.cfg"
     cov.write_text(open("scenarios/covariance_kvh.cfg").read()
@@ -213,6 +227,27 @@ def test_config_errors(tmp_path, capsys):
         path = tmp_path / f"case{n}.cfg"
         path.write_text(text)
         one_line_error([command, str(path), "--out", str(tmp_path / "v")], needle)
+
+
+SCENARIOS = sorted((Path(__file__).parents[1] / "scenarios").glob("*.cfg"))
+
+
+@pytest.mark.filterwarnings("ignore:dt=.*wrap:RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_truncated_scenarios_fail_only_as_scenario_errors(tmp_path_factory, data):
+    # a shipped scenario cut at any byte either builds or raises ScenarioError
+    text = data.draw(st.sampled_from(SCENARIOS)).read_bytes()
+    path = tmp_path_factory.mktemp("cut") / "cut.cfg"
+    path.write_bytes(text[:data.draw(st.integers(0, len(text)))])
+    try:
+        sc = cli.parse_scenario(path)
+        grid = cli.build_grid(sc)
+        cli.build_initial(sc, grid)
+        if sc.kind in ("evolve", "oracle"):
+            cli.read_t_final(sc, cli.build_plan_from(sc, grid).dt)
+    except cli.ScenarioError:
+        pass
 
 
 def test_element_ignores_fields_its_kind_does_not_use(tmp_path):

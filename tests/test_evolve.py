@@ -97,6 +97,29 @@ def test_fused_run_equals_stepwise_and_is_unitary(case):
     assert abs(norm(w_run) - 1.0) <= 1e-12
 
 
+def _time_reversed(w):
+    """conj(psi(q, -p)): on the grid p -> -p maps index i to -i mod n."""
+    axis = w.grid.index("p")
+    return Wavefunction(w.grid, np.conj(np.roll(np.flip(w.values, axis), 1, axis)))
+
+
+# Widths 0.8 and centres within 1.5 keep the state below 1e-12 on the
+# p = -8 row, which p -> -p maps onto itself instead of onto p = +8.
+@settings(max_examples=40, deadline=None)
+@given(formalism=st.sampled_from(["kvn", "kvh"]), kind=st.sampled_from(["free", "harmonic"]),
+       centres=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+       phase=st.sampled_from(["none", "action"]), dt=st.floats(1e-3, 0.1),
+       nsteps=st.integers(1, 20), sample_every=st.integers(1, 6))
+def test_time_reversed_run_returns_to_start(formalism, kind, centres, phase, dt,
+                                            nsteps, sample_every):
+    g = make_grid(n=64)
+    w0 = gaussian_init(g, centres, (0.8, 0.8), phase)
+    plan = ev.build_plan(g, formalism, [1.0], ev.make_potential(kind, g), dt)
+    _, w = ev.run(w0, plan, nsteps * plan.dt, sample_every)
+    _, back = ev.run(_time_reversed(w), plan, nsteps * plan.dt, sample_every)
+    assert np.max(np.abs(_time_reversed(back).values - w0.values)) <= 1e-10
+
+
 def test_build_plan_validation():
     free = ev.make_potential("free", GRID)
     with pytest.raises(ValueError, match="formalism"):

@@ -87,6 +87,14 @@ def test_group_element_validation():
     for mass in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="mass must be positive and finite"):
             ga.boost(0.5, 0.0, "kvh", mass)
+    # a nonzero field its kind does not read is rejected, not carried into act
+    for kind, unread in (("translation", "bvt"), ("momentum_translation", "avt"),
+                         ("boost", "ab"), ("free_time", "abv")):
+        for name in unread:
+            with pytest.raises(ValueError, match=f"a {kind} does not read {name}"):
+                ga.GroupElement(kind, "kvh", 1.0, **{name: 0.3})
+    with pytest.raises(ValueError, match="does not read b, v, t"):
+        ga.GroupElement("translation", "kvh", 1.0, a=0.5, b=0.2, v=0.3, t=1.0)
 
 
 def test_weyl_phase_plain_representation_commutes():
