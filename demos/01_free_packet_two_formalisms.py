@@ -17,7 +17,7 @@ import numpy as np
 from koopman.evolve import build_plan, make_potential, run
 from koopman.grid import Axis, GridSpec, gaussian_init
 
-grid = GridSpec((Axis("q", "q", -8, 16, 256), Axis("p", "p", -8, 16, 256)))
+grid = GridSpec((Axis("q", -8, 16, 256), Axis("p", -8, 16, 256)))
 packet = gaussian_init(grid, centers=(0.0, 2.0), widths=(1.0, 1.0))
 free = make_potential("free", grid)
 t_final = 0.5

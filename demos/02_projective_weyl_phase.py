@@ -16,7 +16,7 @@ import numpy as np
 from koopman.galilei import boost, predicted_weyl_phase, translation, weyl_phase
 from koopman.grid import Axis, GridSpec, gaussian_init
 
-grid = GridSpec((Axis("q", "q", -8, 16, 128), Axis("p", "p", -8, 16, 128)))
+grid = GridSpec((Axis("q", -8, 16, 128), Axis("p", -8, 16, 128)))
 w = gaussian_init(grid, centers=(0.3, -0.4), widths=(1.0, 0.7))
 mass = 1.0
 

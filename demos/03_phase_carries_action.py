@@ -15,7 +15,7 @@ from koopman.characteristics import compare, integrate_flow, reference_solution
 from koopman.evolve import build_plan, make_potential, run
 from koopman.grid import Axis, GridSpec, gaussian_init
 
-grid = GridSpec((Axis("q", "q", -8, 16, 256), Axis("p", "p", -8, 16, 256)))
+grid = GridSpec((Axis("q", -8, 16, 256), Axis("p", -8, 16, 256)))
 w0 = gaussian_init(grid, centers=(0.0, 2.0), widths=(1.0, 1.0))
 pot = make_potential("harmonic", grid, {"kappa": 1.0})
 t_final = 1.0

@@ -17,8 +17,8 @@ import numpy as np
 from koopman.evolve import build_plan, make_potential, run
 from koopman.grid import Axis, GridSpec, gaussian_init
 
-grid = GridSpec((Axis("q", "q", -8, 16, 64), Axis("p", "p", -8, 16, 64),
-                 Axis("x", "x", -8, 16, 64)))
+grid = GridSpec((Axis("q", -8, 16, 64), Axis("p", -8, 16, 64),
+                 Axis("x", -8, 16, 64)))
 w0 = gaussian_init(grid, centers=(1.2, 0.0, -1.2), widths=(1.0, 1.0, 1.0))
 pot = make_potential("hybrid_pair", grid, {"kappa": 1.0})
 

@@ -421,27 +421,23 @@ class NCPoly:
 # standard layouts
 # ---------------------------------------------------------------------------
 
-def single_classical(dim: int = 1, mass: str = "m", constants: Iterable[str] = ()) -> Algebra:
-    return Algebra([ParticleSpec("classical", dim, mass)], constants)
+def single_classical(dim: int = 1) -> Algebra:
+    return Algebra([ParticleSpec("classical", dim, "m")])
 
 
-def two_classical(dim: int = 1, masses=("m1", "m2"), constants: Iterable[str] = ("kappa",)) -> Algebra:
-    return Algebra(
-        [ParticleSpec("classical", dim, masses[0]), ParticleSpec("classical", dim, masses[1])],
-        constants,
-    )
+def two_classical(dim: int = 1) -> Algebra:
+    return Algebra([ParticleSpec("classical", dim, "m1"),
+                    ParticleSpec("classical", dim, "m2")], ("kappa",))
 
 
-def single_quantum(dim: int = 1, mass: str = "m", constants: Iterable[str] = ()) -> Algebra:
-    return Algebra([ParticleSpec("quantum", dim, mass)], constants)
+def single_quantum(dim: int = 1) -> Algebra:
+    return Algebra([ParticleSpec("quantum", dim, "m")])
 
 
-def hybrid_pair(dim: int = 1, masses=("m1", "m2"), constants: Iterable[str] = ("kappa",)) -> Algebra:
+def hybrid_pair(dim: int = 1) -> Algebra:
     """Classical particle 1 tensor quantum particle 2."""
-    return Algebra(
-        [ParticleSpec("classical", dim, masses[0]), ParticleSpec("quantum", dim, masses[1])],
-        constants,
-    )
+    return Algebra([ParticleSpec("classical", dim, "m1"),
+                    ParticleSpec("quantum", dim, "m2")], ("kappa",))
 
 
 # ---------------------------------------------------------------------------

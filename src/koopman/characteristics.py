@@ -11,10 +11,9 @@ wavefunctions semi-Lagrangian style: trace every grid node backward,
 evaluate the initial state there, multiply by exp(i S).
 
 The ``interp`` mode alone decides how the initial state is read at the
-backward-flow points: "closed_form" evaluates the state's closed form
-exactly (gaussian_init states carry one), "cubic" interpolates the
-samples with periodic cubic splines, and "spectral" upsamples them 4x
-band-limited before the cubic step.
+backward-flow points: "closed_form" (the default) evaluates the state's
+closed form exactly (gaussian_init states carry one), and "cubic"
+interpolates the samples with periodic cubic splines.
 """
 
 from __future__ import annotations
@@ -113,27 +112,13 @@ def integrate_flow(masses: Sequence[float], potential: Potential,
 # semi-Lagrangian reconstruction
 # ---------------------------------------------------------------------------
 
-_INTERP_MODES = ("closed_form", "cubic", "spectral")
-
-
-def _interpolate_samples(w0: Wavefunction, points: dict, mode: str) -> np.ndarray:
-    """Periodic "cubic" or "spectral" interpolation of the sampled
-    amplitudes at arbitrary points."""
-    values, scale = w0.values, 1
-    if mode == "spectral":
-        # band-limited 4x upsampling, then cubic on the refined grid
-        factor = 4
-        spec = np.fft.fftn(values)
-        shape = values.shape
-        big = np.zeros([n * factor for n in shape], dtype=complex)
-        idx = np.ix_(*[np.fft.fftfreq(n, 1.0 / n).astype(int) for n in shape])
-        big[idx] = spec
-        values = np.fft.ifftn(big) * factor ** len(shape)
-        scale = factor
-    idx_coords = np.array([(np.asarray(points[a.name]) - a.min) / a.spacing * scale
+def _interpolate_samples(w0: Wavefunction, points: dict) -> np.ndarray:
+    """Periodic cubic interpolation of the sampled amplitudes at
+    arbitrary points."""
+    idx_coords = np.array([(np.asarray(points[a.name]) - a.min) / a.spacing
                            for a in w0.grid.axes])
-    re = map_coordinates(values.real, idx_coords, order=3, mode="grid-wrap")
-    im = map_coordinates(values.imag, idx_coords, order=3, mode="grid-wrap")
+    re = map_coordinates(w0.values.real, idx_coords, order=3, mode="grid-wrap")
+    im = map_coordinates(w0.values.imag, idx_coords, order=3, mode="grid-wrap")
     return re + 1j * im
 
 
@@ -145,12 +130,12 @@ def reference_solution(w0: Wavefunction, masses: Sequence[float],
     Returns (wavefunction, valid_mask); nodes whose backward trajectory
     leaves the sampled domain are flagged False and should be excluded
     from comparisons.  ``interp`` is one of "closed_form" (exact
-    evaluation of w0.closed_form; ValueError when w0 has none), "cubic"
-    or "spectral" (interpolation of the samples, closed form or not).
+    evaluation of w0.closed_form; ValueError when w0 has none) or "cubic"
+    (interpolation of the samples, closed form or not).
     """
     if formalism not in ("kvn", "kvh"):
         raise ValueError("reference solutions cover kvn and kvh only")
-    if interp not in _INTERP_MODES:
+    if interp not in ("closed_form", "cubic"):
         raise ValueError(f"unknown interpolation mode {interp!r}")
     if interp == "closed_form" and w0.closed_form is None:
         raise ValueError("interp 'closed_form' needs a state with a closed form")
@@ -182,7 +167,7 @@ def reference_solution(w0: Wavefunction, masses: Sequence[float],
     if interp == "closed_form":
         amp = np.asarray(w0.closed_form(points), dtype=complex)
     else:
-        amp = _interpolate_samples(w0, points, interp)
+        amp = _interpolate_samples(w0, points)
     if formalism == "kvh":
         amp = amp * np.exp(1j * s_fwd)
     return (Wavefunction(grid, amp.reshape(grid.shape)),

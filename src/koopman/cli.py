@@ -72,19 +72,17 @@ _SCHEMA = {
         "kappa": float, "alpha": float, "dt": float, "t_final": float,
         "sample_every": int, "interaction": str,
     },
-    "initial": {"centers": _floats, "widths": _floats, "phase": str,
-                "phase_coeffs": _floats},
+    "initial": {"centers": _floats, "widths": _floats, "phase": str},
     "transform": {
         "kind": str, "g1": str, "g1_v": float, "g1_t": float, "g1_a": float,
         "g1_b": float, "g2": str, "g2_v": float, "g2_t": float, "g2_a": float,
-        "g2_b": float, "sweep_a": _floats, "sweep_v": _floats, "v": float,
+        "g2_b": float, "sweep_a": _floats, "sweep_v": _floats,
     },
-    "oracle": {"flow_steps": int, "interp": str, "mask_threshold": float},
+    "oracle": {"flow_steps": int, "interp": str},   # reference_solution's keywords
     "checks": {"closed_form": lambda s: s.lower() in ("1", "true", "yes")},
-    "output": {"dir": str, "dump_state": lambda s: s.lower() in ("1", "true", "yes"),
-               "dump_every": int},
+    "output": {"dir": str, "dump_state": lambda s: s.lower() in ("1", "true", "yes")},
 }
-_AXIS_KEYS = {"role": str, "min": float, "extent": float, "points": int}
+_AXIS_KEYS = {"min": float, "extent": float, "points": int}
 
 
 @dataclass
@@ -151,22 +149,21 @@ def build_grid(sc: Scenario) -> GridSpec:
         spec = sc.sections.get("axis", {}).get(name)
         if spec is None:
             raise ScenarioError(f"axis {name!r} listed but no [axis.{name}] section")
-        role = spec.get("role", name[0])
         for key in ("min", "extent", "points"):
             if key not in spec:
                 raise ScenarioError(f"[axis.{name}] missing {key!r}")
         with _config_errors(f"[axis.{name}]"):
-            axes.append(Axis(name, role, spec["min"], spec["extent"], spec["points"]))
-    return GridSpec(tuple(axes))
+            axes.append(Axis(name, spec["min"], spec["extent"], spec["points"]))
+    with _config_errors("[grid]"):
+        return GridSpec(tuple(axes))
 
 
 def build_initial(sc: Scenario, grid: GridSpec) -> Wavefunction:
     centers = sc.require("initial", "centers")
     widths = sc.require("initial", "widths")
     phase = sc.get("initial", "phase", "none")
-    coeffs = sc.get("initial", "phase_coeffs")
     with _config_errors("[initial]"):
-        return gaussian_init(grid, centers, widths, phase, coeffs)
+        return gaussian_init(grid, centers, widths, phase)
 
 
 def build_plan_from(sc: Scenario, grid: GridSpec) -> ev.PropagatorPlan:
@@ -266,20 +263,10 @@ def cmd_evolve(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     do_check = sc.get("checks", "closed_form", False)
-    if do_check and plan.potential.kind != "free":
+    if do_check and plan.potential.cpoly is not None:
         raise ScenarioError("[checks] closed_form applies to free scenarios")
 
-    dump_every = sc.get("output", "dump_every", 0)
-    on_sample = None
-    if dump_every > 0:
-        counter = {"i": 0}
-
-        def on_sample(step_index, t, w):
-            if counter["i"] % dump_every == 0:
-                dump_state(w, out_dir / f"state_{step_index:06d}.kvhw")
-            counter["i"] += 1
-
-    record, w = ev.run(w0, plan, t_final, sample_every, on_sample=on_sample)
+    record, w = ev.run(w0, plan, t_final, sample_every)
     record.to_csv(out_dir / "run.csv")
     if do_check:
         _free_closed_form_check(plan, w0, t_final, w, out_dir)
@@ -340,7 +327,9 @@ def cmd_covariance(args) -> int:
                              phase.real, phase.imag, predicted.real,
                              predicted.imag, angle_err, residual))
     elif tkind == "covariance":
-        sweep_v = sc.get("transform", "sweep_v") or (sc.require("transform", "v"),)
+        sweep_v = sc.require("transform", "sweep_v")
+        if not sweep_v:
+            raise ScenarioError("[transform]: sweep_v needs at least one velocity")
         t_final = read_t_final(sc)
         for v in sweep_v:
             with _config_errors("[transform]"):
@@ -371,16 +360,12 @@ def cmd_oracle(args) -> int:
     t_final = read_t_final(sc, plan.dt)
     out_dir = Path(args.out or sc.get("output", "dir", "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    flow_steps = sc.get("oracle", "flow_steps")
-    interp = sc.get("oracle", "interp", "cubic")
-    mask = sc.get("oracle", "mask_threshold", 1e-6)
-
     with _config_errors("[oracle]"):    # before the run, so bad settings fail fast
         ref, valid = chars.reference_solution(
             w0, plan.masses, plan.potential, t_final, plan.formalism,
-            interp=interp, flow_steps=flow_steps)
+            **sc.sections.get("oracle", {}))
     record, w = ev.run(w0, plan, t_final, max(1, int(round(t_final / plan.dt))))
-    metrics = chars.compare(w, ref, mask_threshold=mask, valid_mask=valid)
+    metrics = chars.compare(w, ref, valid_mask=valid)
     with open(out_dir / "oracle.csv", "w", newline="") as fh:
         fh.write(",".join(["t"] + [f.name for f in fields(metrics)]) + "\n")
         fh.write(",".join(_fmt(v) for v in (t_final,) + astuple(metrics)) + "\n")
@@ -419,7 +404,8 @@ def main(argv=None) -> int:
     if args.out is None and args.command == "check-algebra":
         args.out = "out"
     try:
-        set_fft_workers(args.threads)
+        with _config_errors("--threads"):
+            set_fft_workers(args.threads)
         return args.func(args)
     except ScenarioError as e:
         sys.stderr.write(f"config error: {e}\n")

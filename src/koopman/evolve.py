@@ -61,7 +61,6 @@ class NumericalAbort(RuntimeError):
 @dataclass(frozen=True)
 class Potential:
     """Polynomial potential over the grid's q (and x) coordinates."""
-    kind: str
     cpoly: CPoly | None          # None for free
     constants: dict
 
@@ -94,7 +93,7 @@ def make_potential(kind: str, grid: GridSpec, constants: Mapping | None = None) 
     """
     constants = {k: float(v) for k, v in (constants or {}).items()}
     if kind == "free":
-        return Potential(kind, None, constants)
+        return Potential(None, constants)
 
     qnames = grid.names("q")
     xnames = grid.names("x")
@@ -123,18 +122,16 @@ def make_potential(kind: str, grid: GridSpec, constants: Mapping | None = None) 
         V = var("kappa") * d * d / 2
     else:
         raise ValueError(f"unsupported potential kind {kind!r}")
-    return Potential(kind, V, constants)
+    return Potential(V, constants)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Flow:
     """One exact flow: fftn over ``axes``, multiply by each of ``factors``
     (kept in their broadcast shapes), ifftn back.  Without axes the
     factors multiply in physical space."""
-    name: str                    # A (the T part) | B (the V part) | a group element kind
-    weight: float                # duration as a fraction of dt
     axes: tuple
-    factors: tuple = field(compare=False, repr=False)
+    factors: tuple = field(repr=False)
 
     def apply(self, values: np.ndarray, overwrite: bool = False) -> np.ndarray:
         """The flow applied to ``values``, whose memory it may reuse when
@@ -149,7 +146,7 @@ class Flow:
 
 
 def free_flow(grid: GridSpec, formalism: str, masses: Sequence[float],
-              tau: float, weight: float = 1.0) -> Flow:
+              tau: float) -> Flow:
     """Flow A over time tau: stream each q by p tau/m, times
     exp(+i tau p^2/2m) in kvh and hybrid, times exp(-i tau k^2/2m) on
     each x axis; one factor per (q, p) pair and one per x axis."""
@@ -163,7 +160,7 @@ def free_flow(grid: GridSpec, formalism: str, masses: Sequence[float],
         factors.append(np.exp(-1j * tau * expo))
     for xname, m in zip(xn, masses[len(qn):]):
         factors.append(np.exp(-1j * tau * grid.wavenumber(xname) ** 2 / (2 * m)))
-    return Flow("A", weight, tuple(grid.index(n) for n in qn + xn), tuple(factors))
+    return Flow(tuple(grid.index(n) for n in qn + xn), tuple(factors))
 
 
 @dataclass
@@ -175,7 +172,6 @@ class PropagatorPlan:
     masses: tuple                # classical (per q axis) then quantum (per x axis)
     potential: Potential
     dt: float
-    interaction: str = "full"    # full | potential_only | kick_only
     substeps: tuple = ()
     _a: dict = field(default_factory=dict, repr=False)   # weight -> A flow
 
@@ -183,9 +179,12 @@ class PropagatorPlan:
 def build_plan(grid: GridSpec, formalism: str, masses: Sequence[float],
                potential: Potential, dt: float,
                interaction: str = "full") -> PropagatorPlan:
+    """``interaction = "potential_only"`` drops the kick from B, leaving
+    the multiplication by exp(-i dt V): the negative control of the
+    hybrid momentum exchange."""
     if formalism not in ("kvn", "kvh", "hybrid"):
         raise ValueError(f"unknown formalism {formalism!r}")
-    if interaction not in ("full", "potential_only", "kick_only"):
+    if interaction not in ("full", "potential_only"):
         raise ValueError(f"unknown interaction mode {interaction!r}")
     qn, pn, xn = grid.names("q"), grid.names("p"), grid.names("x")
     if len(qn) != len(pn):
@@ -202,7 +201,7 @@ def build_plan(grid: GridSpec, formalism: str, masses: Sequence[float],
     if dt <= 0:
         raise ValueError("dt must be positive")
 
-    plan = PropagatorPlan(grid, formalism, masses, potential, float(dt), interaction)
+    plan = PropagatorPlan(grid, formalism, masses, potential, float(dt))
     # B(dt) as one p-spectral factor exp(-i dt (sum k_p force + V)): the
     # kick shifts each p by force*dt, and kvh and hybrid add exp(-i dt V)
     terms, axes = [], ()
@@ -222,14 +221,14 @@ def build_plan(grid: GridSpec, formalism: str, masses: Sequence[float],
                     RuntimeWarning, stacklevel=2)
             terms.append(grid.wavenumber(pname) * f)
             axes += (grid.index(pname),)
-    if formalism != "kvn" and interaction != "kick_only" and potential.cpoly is not None:
+    if formalism != "kvn" and potential.cpoly is not None:
         terms.append(potential.values(grid))
     if not terms:
         plan.substeps = (free_flow(grid, formalism, masses, dt),)
         return plan
-    plan._a = {w: free_flow(grid, formalism, masses, w * dt, w) for w in (0.5, 1.0)}
+    plan._a = {w: free_flow(grid, formalism, masses, w * dt) for w in (0.5, 1.0)}
     plan._a[0.0] = None
-    kick = Flow("B", 1.0, axes, (np.exp(-1j * dt * sum(terms)),))
+    kick = Flow(axes, (np.exp(-1j * dt * sum(terms)),))
     plan.substeps = (plan._a[0.5], kick, plan._a[0.5])
     return plan
 
@@ -315,14 +314,13 @@ def step_count(t_final: float, dt: float) -> int:
 
 
 def run(w0: Wavefunction, plan: PropagatorPlan, t_final: float,
-        sample_every: int = 1, on_sample=None):
+        sample_every: int = 1):
     """Propagate to t_final (an integer number of steps), sampling
-    observables every ``sample_every`` steps.  Returns (record, final).
+    observables at t = 0, every ``sample_every`` steps and at t_final.
+    Returns (record, final).
 
     Between samples the trailing A(dt/2) of each step merges into the
     next step's leading one; sampled and returned states are closed.
-    ``on_sample(step_index, t, w)``, when given, is called at every
-    sampled time (including t = 0); used e.g. for state-dump cadence.
     Raises NumericalAbort (with the offending step index) if amplitudes
     stop being finite.
     """
@@ -332,8 +330,6 @@ def run(w0: Wavefunction, plan: PropagatorPlan, t_final: float,
     record = RunRecord()
     w = w0
     record.append(t=0.0, **_observables(w, plan))
-    if on_sample is not None:
-        on_sample(0, 0.0, w)
     lead = 0.5
     for n in range(1, nsteps + 1):
         sampled = n % sample_every == 0 or n == nsteps
@@ -344,6 +340,4 @@ def run(w0: Wavefunction, plan: PropagatorPlan, t_final: float,
             if not np.all(np.isfinite(w.values)):
                 raise NumericalAbort(n)
             record.append(t=n * plan.dt, **_observables(w, plan))
-            if on_sample is not None:
-                on_sample(n, n * plan.dt, w)
     return record, w

@@ -21,7 +21,7 @@ order so reports are deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 class GaussianRational:
@@ -164,12 +164,12 @@ class CPoly:
         return cls(symbols, {(0,) * len(tuple(symbols)): value})
 
     @classmethod
-    def variable(cls, symbols, name: str, power: int = 1) -> "CPoly":
+    def variable(cls, symbols, name: str) -> "CPoly":
         symbols = tuple(symbols)
         if name not in symbols:
             raise ValueError(f"unknown symbol {name!r}")
         expo = [0] * len(symbols)
-        expo[symbols.index(name)] = power
+        expo[symbols.index(name)] = 1
         return cls(symbols, {tuple(expo): ONE})
 
     # -- predicates ------------------------------------------------------
@@ -178,14 +178,10 @@ class CPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def is_constant(self) -> bool:
-        return all(all(e == 0 for e in expo) for expo in self.terms)
-
     def constant_value(self) -> GaussianRational:
         if not self.terms:
             return ZERO
-        if not self.is_constant:
+        if any(any(expo) for expo in self.terms):
             raise ValueError("polynomial is not constant")
         return next(iter(self.terms.values()))
 
@@ -371,15 +367,3 @@ class CPoly:
 def _term_order_key(expo: tuple) -> tuple:
     # graded lex, highest degree first, then lexicographically largest first
     return (-sum(expo), tuple(-e for e in expo))
-
-
-def ring(names: Iterable[str] | str) -> dict:
-    """Convenience: build the generator polynomials of a symbol set.
-
-    ``ring("q p m")`` returns ``{"q": q, "p": p, "m": m}`` over the shared
-    symbol set, ready for arithmetic.
-    """
-    if isinstance(names, str):
-        names = names.split()
-    symbols = tuple(names)
-    return {n: CPoly.variable(symbols, n) for n in symbols}

@@ -90,7 +90,7 @@ def act(g: GroupElement, w: Wavefunction) -> Wavefunction:
     else:   # psi(q - a - v t, p - b - m v); the fields a kind does not use are 0
         moves = [(n, d) for n, d in ((qn, g.a + g.v * g.t), (pn, g.b + m * g.v)) if d]
         expo = sum(grid.wavenumber(n) * d for n, d in moves)
-        flow = Flow(g.kind, 1.0, tuple(grid.index(n) for n, _ in moves), (np.exp(-1j * expo),))
+        flow = Flow(tuple(grid.index(n) for n, _ in moves), (np.exp(-1j * expo),))
     out = flow.apply(w.values)
     if g.kind == "boost" and g.formalism == "kvh":
         out *= np.exp(1j * (m * grid.coordinate(qn) * g.v - 0.5 * m * g.t * g.v ** 2))

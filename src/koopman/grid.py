@@ -1,8 +1,8 @@
 """Periodic phase-space grids, wavefunctions, and spectral operators.
 
-A grid is an ordered tensor product of periodic axes.  Each axis has a
-role: q and p are classical phase-space coordinates, x is a quantum
-position.  Amplitudes are dense complex arrays in row-major layout with
+A grid is an ordered tensor product of periodic axes.  The first letter
+of an axis name is its role: q and p are classical phase-space
+coordinates, x is a quantum position.  Amplitudes are dense complex arrays in row-major layout with
 the axes in declaration order (the last declared axis is innermost), and
 the integration measure is the product of the spacings.
 
@@ -15,8 +15,7 @@ independent of the FFT worker count.
 Binary state dumps use a 64-byte preamble (magic ``KVHW``, version,
 rank) followed by one 32-byte record per axis (name, points, min,
 extent) and the amplitudes as interleaved little-endian doubles.
-Axis names must start with their role letter so dumps are
-self-describing.
+Since names carry the roles, dumps are self-describing.
 """
 
 from __future__ import annotations
@@ -55,21 +54,21 @@ def _ifft(values, axes, overwrite=False):
 @dataclass(frozen=True)
 class Axis:
     name: str
-    role: str  # "q" | "p" | "x"
     min: float
     extent: float
     points: int
 
     def __post_init__(self):
-        if self.role not in ("q", "p", "x"):
-            raise ValueError(f"bad axis role {self.role!r}")
-        if not self.name.startswith(self.role):
-            raise ValueError(
-                f"axis name {self.name!r} must start with its role letter")
+        if self.name[:1] not in ("q", "p", "x"):
+            raise ValueError(f"axis name {self.name!r} must start with q, p or x")
         if self.points < 8 or self.points & (self.points - 1):
             raise ValueError("points must be a power of two >= 8")
         if not (self.extent > 0 and np.isfinite(self.extent) and np.isfinite(self.min)):
             raise ValueError("axis domain must be finite with positive extent")
+
+    @property
+    def role(self) -> str:
+        return self.name[0]
 
     @property
     def spacing(self) -> float:
@@ -183,14 +182,12 @@ def gaussian_init(
     centers: Sequence[float],
     widths: Sequence[float],
     phase: str = "none",
-    phase_coeffs: Sequence[float] | None = None,
 ) -> Wavefunction:
     """Normalized Gaussian product state.
 
     The amplitude along each axis falls as exp(-(z-c)^2 / (2 w^2)).
     phase: "none" keeps the state real (the natural choice for
-    non-projective runs); "linear" multiplies exp(i sum c_i z_i);
-    "action" seeds the phase with sum q_a p_a over the (q, p) axis pairs,
+    non-projective runs); "action" seeds the phase with sum q_a p_a over the (q, p) axis pairs,
     which matches first-moment phase gradients to the momenta.
     """
     centers = tuple(float(c) for c in centers)
@@ -213,14 +210,6 @@ def gaussian_init(
     def phase_field(points: Mapping[str, np.ndarray]):
         if phase == "none":
             return 0.0
-        if phase == "linear":
-            coeffs = phase_coeffs or ()
-            if len(coeffs) != len(grid.axes):
-                raise ValueError("linear phase needs one coefficient per axis")
-            s = 0.0
-            for ax, c in zip(grid.axes, coeffs):
-                s = s + c * points[ax.name]
-            return s
         if phase == "action":
             qnames = grid.names("q")
             pnames = grid.names("p")
@@ -314,7 +303,7 @@ def load_state(path) -> Wavefunction:
             if not name or not name.isascii():
                 raise ValueError(f"axis record {n} has an empty or non-ASCII name")
             name = name.decode("ascii")
-            axes.append(Axis(name, name[0], lo, extent, points))
+            axes.append(Axis(name, lo, extent, points))
         grid = GridSpec(tuple(axes))
         data = fh.read()
     size = 16 * math.prod(grid.shape)

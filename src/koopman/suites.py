@@ -34,9 +34,10 @@ def _eps(i: int, j: int, k: int) -> int:
 # canonical commutators
 # ---------------------------------------------------------------------------
 
-def base_ccr_suite(algebra: Algebra | None = None) -> list:
-    """Every unordered generator pair against the commutator table."""
-    alg = algebra or ccr.single_classical()
+def base_ccr_suite() -> list:
+    """Every unordered generator pair of the single-particle d=1 algebra
+    against the commutator table."""
+    alg = ccr.single_classical()
     rels = []
     gens = alg.generators
     for i, ga in enumerate(gens):
@@ -133,13 +134,12 @@ def kvh_star_pair_suite() -> list:
 # interacting two-particle system (projective formalism)
 # ---------------------------------------------------------------------------
 
-def pair_potential(alg: Algebra, coupling: str = "kappa") -> CPoly:
-    """V = kappa/2 * sum_axis (q1 - q2)^2 over the algebra's coordinates."""
-    kap = alg.observable(coupling)
+def pair_potential(alg: Algebra, pairs) -> CPoly:
+    """V = kappa/2 sum (a - b)^2 over the coordinate-name pairs (a, b)."""
+    kap = alg.observable("kappa")
     V = CPoly.constant(alg.observable_symbols, 0)
-    for axis in range(1, alg.dim + 1):
-        suffix = "" if alg.dim == 1 else f"_{axis}"
-        d = alg.observable(f"q1{suffix}") - alg.observable(f"q2{suffix}")
+    for a, b in pairs:
+        d = alg.observable(a) - alg.observable(b)
         V = V + kap * d * d / 2
     return V
 
@@ -147,7 +147,7 @@ def pair_potential(alg: Algebra, coupling: str = "kappa") -> CPoly:
 def two_particle_suite() -> list:
     """Covariance conditions of the interacting two-particle system, d=1."""
     alg = ccr.two_classical()
-    V = pair_potential(alg)
+    V = pair_potential(alg, [("q1", "q2")])
     L = ccr.time_translation(alg, "kvh", V)
     T = ccr.translation_generator(alg)
     G = ccr.boost_generator(alg, "kvh")
@@ -177,7 +177,7 @@ def two_particle_suite() -> list:
 def two_particle_rotation_suite() -> list:
     """Scalar pair potential commutes with the total rotations, d=3."""
     alg = ccr.two_classical(dim=3)
-    V = pair_potential(alg)
+    V = pair_potential(alg, [(f"q1_{i}", f"q2_{i}") for i in range(1, 4)])
     L = ccr.time_translation(alg, "kvh", V)
     return [
         Relation(f"two_particle_scalar_potential_[rot{i},time]=0",
@@ -213,16 +213,9 @@ def quantum_suite() -> list:
 # quantum-classical hybrid
 # ---------------------------------------------------------------------------
 
-def hybrid_coupling(alg: Algebra, coupling: str = "kappa") -> CPoly:
-    """V = kappa/2 (q - x)^2 on the mixed layout."""
-    kap = alg.observable(coupling)
-    d = alg.observable("q") - alg.observable("x")
-    return kap * d * d / 2
-
-
 def hybrid_suite() -> list:
     alg = ccr.hybrid_pair()
-    V = hybrid_coupling(alg)
+    V = pair_potential(alg, [("q", "x")])
     L = ccr.time_translation(alg, "hybrid", V)
     T = ccr.translation_generator(alg)          # lam_q + k
     P = ccr.momentum_observable(alg)            # p + k
@@ -286,10 +279,10 @@ def klein_suite() -> list:
 
     # two-particle projective Liouvillian -> hybrid generator
     alg2 = ccr.two_classical()
-    V12 = pair_potential(alg2)
+    V12 = pair_potential(alg2, [("q1", "q2")])
     L2 = ccr.time_translation(alg2, "kvh", V12)
     halg = ccr.hybrid_pair()
-    Lh = ccr.time_translation(halg, "hybrid", hybrid_coupling(halg))
+    Lh = ccr.time_translation(halg, "hybrid", pair_potential(halg, [("q", "x")]))
     rels.append(Relation(
         "klein_two_particle_liouvillian->hybrid",
         lhs=ccr.klein_quantize(L2, {2}), expected=Lh))
@@ -303,18 +296,11 @@ def klein_suite() -> list:
 
     # full quantization of both particles gives the two-body Hamiltonian
     qalg2 = alg2.quantized({1, 2})
-    H2 = ccr.time_translation(qalg2, "quantum", _pair_potential_xx(qalg2))
+    H2 = ccr.time_translation(qalg2, "quantum", pair_potential(qalg2, [("x1", "x2")]))
     rels.append(Relation(
         "klein_full_quantization->two_body_hamiltonian",
         lhs=ccr.klein_quantize(L2, {1, 2}), expected=H2))
     return rels
-
-
-def _pair_potential_xx(alg: Algebra, coupling: str = "kappa") -> CPoly:
-    kap = alg.observable(coupling)
-    d = alg.observable("x1") - alg.observable("x2")
-    return kap * d * d / 2
-
 
 # ---------------------------------------------------------------------------
 # suite registry used by the CLI and the acceptance tests

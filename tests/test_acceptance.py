@@ -131,7 +131,7 @@ def test_criterion_4_free_particle_closed_forms():
 # ---------------------------------------------------------------------------
 
 def test_criterion_5_reality_invariant():
-    grid = GridSpec((Axis("q", "q", -10, 20, 128), Axis("p", "p", -10, 20, 128)))
+    grid = GridSpec((Axis("q", -10, 20, 128), Axis("p", -10, 20, 128)))
     w0 = gaussian_init(grid, centers=(1.5, 0.0), widths=(1.0, 1.0))
     pot = ev.make_potential("harmonic", grid, {"kappa": 1.0})
     plan = ev.build_plan(grid, "kvn", [1.0], pot, dt=1e-3)
@@ -170,7 +170,7 @@ def test_criterion_6_phase_is_action(harmonic_kvh_run):
 
 def test_criterion_7_weyl_phases():
     t0 = time.time()
-    grid = GridSpec((Axis("q", "q", -8, 16, 128), Axis("p", "p", -8, 16, 128)))
+    grid = GridSpec((Axis("q", -8, 16, 128), Axis("p", -8, 16, 128)))
     w = gaussian_init(grid, centers=(0.3, -0.4), widths=(1.0, 0.7))
     ph, res = ga.weyl_phase(ga.boost(1.3, 0.0, "kvn"), ga.translation(0.7, "kvn"), w)
     worst_res = res
@@ -240,7 +240,7 @@ def test_criterion_10_hygiene(harmonic_kvh_run, tmp_path):
     norm_drift = float(np.max(np.abs(record.series("norm") - 1.0)))
 
     # Strang second order: halving dt divides the oracle error by 4 +- 20%
-    grid = GridSpec((Axis("q", "q", -8, 16, 128), Axis("p", "p", -8, 16, 128)))
+    grid = GridSpec((Axis("q", -8, 16, 128), Axis("p", -8, 16, 128)))
     w0 = gaussian_init(grid, centers=(0.0, 2.0), widths=(1.0, 1.0))
     pot = ev.make_potential("harmonic", grid, {"kappa": 1.0})
     ref, valid = chars.reference_solution(w0, [1.0], pot, 0.5, "kvh",

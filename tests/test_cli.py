@@ -1,3 +1,7 @@
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -99,17 +103,6 @@ def test_evolve_outputs(tiny_cfg, tmp_path):
     assert (out / "manifest.cfg").read_text().startswith("# koopman")
     final = load_state(out / "final.kvhw")
     assert final.grid.shape == (32, 32)
-
-
-def test_evolve_dump_cadence(tiny_cfg, tmp_path):
-    cadenced = tmp_path / "cadence.cfg"
-    cadenced.write_text(TINY_EVOLVE.replace("dump_state = true",
-                                            "dump_state = true\ndump_every = 1"))
-    out = tmp_path / "runs"
-    assert cli.main(["evolve", str(cadenced), "--out", str(out)]) == cli.EXIT_OK
-    dumps = sorted(f.name for f in out.glob("state_*.kvhw"))
-    # t=0 plus samples at steps 5 and 10
-    assert dumps == ["state_000000.kvhw", "state_000005.kvhw", "state_000010.kvhw"]
 
 
 def test_evolve_deterministic_across_threads(tiny_cfg, tmp_path):
@@ -218,6 +211,32 @@ def test_config_errors(tmp_path, capsys):
          "[oracle]: steps must be >= 1"),
         ("oracle", oracle_cfg, (("interp = closed_form", "interp = nope"),),
          "unknown interpolation mode 'nope'"),
+        ("oracle", oracle_cfg, (("interp = closed_form", "interp = spectral"),),
+         "unknown interpolation mode 'spectral'"),
+        ("evolve", "scenarios/hybrid_negative_control.cfg",
+         (("interaction = potential_only", "interaction = kick_only"),),
+         "unknown interaction mode 'kick_only'"),
+        ("evolve", "scenarios/free_kvh.cfg", (("axes = q, p", "axes = q, q"),),
+         "[grid]: duplicate axis names"),
+        ("evolve", "scenarios/free_kvh.cfg",
+         (("axes = q, p", "axes = q, , p"),
+          ("[dynamics]", "[axis.]\nmin = -8.0\nextent = 16.0\npoints = 32\n\n[dynamics]")),
+         "[axis.]: axis name '' must start with q, p or x"),
+        ("covariance", "scenarios/covariance_kvh.cfg",
+         (("sweep_v = 0.0, 0.5, 1.0", "sweep_v ="),), "sweep_v needs at least one velocity"),
+        ("covariance", "scenarios/covariance_kvh.cfg",
+         (("sweep_v = 0.0, 0.5, 1.0", ""),), "missing key 'sweep_v'"),
+        # keys that no longer exist fail as unknown keys
+        ("evolve", "scenarios/free_kvh.cfg", (("points = 256", "points = 256\nrole = q"),),
+         "unknown key 'role' in section [axis.q]"),
+        ("evolve", "scenarios/free_kvh.cfg", (("phase = none", "phase = linear\nphase_coeffs = 1.0, 0.0"),),
+         "unknown key 'phase_coeffs' in section [initial]"),
+        ("evolve", "scenarios/free_kvh.cfg", (("dump_state = true", "dump_every = 1"),),
+         "unknown key 'dump_every' in section [output]"),
+        ("oracle", oracle_cfg, (("flow_steps = 64", "flow_steps = 64\nmask_threshold = 1e-6"),),
+         "unknown key 'mask_threshold' in section [oracle]"),
+        ("covariance", "scenarios/covariance_kvh.cfg", (("sweep_v =", "v = 1.0\nsweep_v ="),),
+         "unknown key 'v' in section [transform]"),
     ]
     for n, (command, source, edits, needle) in enumerate(cases):
         text = open(source).read()
@@ -229,7 +248,31 @@ def test_config_errors(tmp_path, capsys):
         one_line_error([command, str(path), "--out", str(tmp_path / "v")], needle)
 
 
+@pytest.mark.parametrize("argv", [["check-algebra", "--threads", "0"],
+                                  ["evolve", "TINY", "--threads", "-3"]])
+def test_bad_thread_count_is_a_one_line_config_error(tiny_cfg, tmp_path, argv):
+    argv = [str(tiny_cfg) if a == "TINY" else a for a in argv]
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "koopman.cli", *argv,
+                           "--out", str(tmp_path / "t")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == cli.EXIT_CONFIG
+    assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("config error: --threads: worker count must be >= 1")
+
+
 SCENARIOS = sorted((Path(__file__).parents[1] / "scenarios").glob("*.cfg"))
+
+
+def _build(path):
+    """Parse and build a scenario the way the subcommands do before a run."""
+    sc = cli.parse_scenario(path)
+    grid = cli.build_grid(sc)
+    cli.build_initial(sc, grid)
+    if sc.kind in ("evolve", "oracle"):
+        cli.read_t_final(sc, cli.build_plan_from(sc, grid).dt)
 
 
 @pytest.mark.filterwarnings("ignore:dt=.*wrap:RuntimeWarning")
@@ -241,11 +284,49 @@ def test_truncated_scenarios_fail_only_as_scenario_errors(tmp_path_factory, data
     path = tmp_path_factory.mktemp("cut") / "cut.cfg"
     path.write_bytes(text[:data.draw(st.integers(0, len(text)))])
     try:
-        sc = cli.parse_scenario(path)
-        grid = cli.build_grid(sc)
-        cli.build_initial(sc, grid)
-        if sc.kind in ("evolve", "oracle"):
-            cli.read_t_final(sc, cli.build_plan_from(sc, grid).dt)
+        _build(path)
+    except cli.ScenarioError:
+        pass
+
+
+_LIST_VALUE = re.compile(r"^(axes|centers|widths|masses|sweep_a|sweep_v) *=(.*)$", re.M)
+
+
+@st.composite
+def list_edits(draw):
+    """A shipped scenario with one or two of its list values edited: an
+    entry dropped, duplicated, appended or inserted empty, or the entries
+    shuffled.  Point counts are left alone."""
+    text = draw(st.sampled_from(SCENARIOS)).read_text()
+    for _ in range(draw(st.integers(1, 2))):
+        m = draw(st.sampled_from(list(_LIST_VALUE.finditer(text))))
+        entries = [e.strip() for e in m.group(2).split(",")]
+        i = draw(st.integers(0, len(entries) - 1))
+        edit = draw(st.sampled_from(("drop", "duplicate", "append", "empty", "shuffle")))
+        if edit == "drop":
+            del entries[i]
+        elif edit == "duplicate":
+            entries.insert(i, entries[i])
+        elif edit == "append":
+            pool = ("q", "p", "x", "q2") if m.group(1) == "axes" else ("0.0", "1.0", "-2.5")
+            entries.append(draw(st.sampled_from(pool)))
+        elif edit == "empty":
+            entries.insert(i, "")
+        else:
+            entries = draw(st.permutations(entries))
+        text = text[:m.start(2)] + " " + ", ".join(entries) + text[m.end(2):]
+    return text
+
+
+@pytest.mark.filterwarnings("ignore:dt=.*wrap:RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(text=list_edits())
+def test_list_edits_fail_only_as_scenario_errors(tmp_path_factory, text):
+    # rank and size mismatches either build or raise ScenarioError
+    path = tmp_path_factory.mktemp("edit") / "edit.cfg"
+    path.write_text(text)
+    try:
+        _build(path)
     except cli.ScenarioError:
         pass
 

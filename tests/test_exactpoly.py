@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koopman.exactpoly import CPoly, GaussianRational, I, SymbolMismatch, ring
+from koopman.exactpoly import CPoly, GaussianRational, I, SymbolMismatch
+
+
+def ring(names: str) -> dict:
+    """The variables of the symbol set ``names``, e.g. ring("q p")["q"]."""
+    symbols = tuple(names.split())
+    return {n: CPoly.variable(symbols, n) for n in symbols}
 
 
 def test_gaussian_rational_basics():
@@ -164,8 +170,9 @@ def test_compile_matches_exact_evaluation(poly, point, unbound):
     real = all(c.im == 0 for c in poly.terms.values())
     assert np.asarray(got).dtype.kind == ("f" if real else "c")
     # arrays broadcast (constants stay scalars) and keep the dtype rule
+    constant = not any(any(expo) for expo in poly.terms)
     arr = np.asarray(poly.compile()({s: np.full((2, 1), v) for s, v in bindings.items()}))
-    assert arr.shape == (() if poly.is_constant else (2, 1))
+    assert arr.shape == (() if constant else (2, 1))
     assert arr.dtype.kind == ("f" if real else "c")
     assert np.all(np.abs(arr - exact) <= 1e-12 * scale)
     assert poly.evaluate(bindings) == got

@@ -8,7 +8,7 @@ from koopman.grid import Axis, GridSpec, gaussian_init, norm
 
 
 def make_grid(n=128, lo=-8.0, ext=16.0):
-    return GridSpec((Axis("q", "q", lo, ext, n), Axis("p", "p", lo, ext, n)))
+    return GridSpec((Axis("q", lo, ext, n), Axis("p", lo, ext, n)))
 
 
 GRID = make_grid()
