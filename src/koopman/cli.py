@@ -10,7 +10,8 @@ Subcommands:
 Scenarios are strict INI files (unknown sections or keys are errors,
 exit code 2).  Exit codes: 0 success, 1 verification failure, 2 usage or
 config error, 3 numerical abort.  Outputs are byte-identical for a given
-config and version, independent of --threads.
+config and version, independent of --threads.  The scenario subcommands
+make their output directory only once they have results to write.
 """
 
 from __future__ import annotations
@@ -259,14 +260,13 @@ def cmd_evolve(args) -> int:
     sample_every = sc.get("dynamics", "sample_every", 1)
     if sample_every < 1:
         raise ScenarioError("[dynamics]: sample_every must be >= 1")
-    out_dir = Path(args.out or sc.get("output", "dir", "out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     do_check = sc.get("checks", "closed_form", False)
     if do_check and plan.potential.cpoly is not None:
         raise ScenarioError("[checks] closed_form applies to free scenarios")
 
     record, w = ev.run(w0, plan, t_final, sample_every)
+    out_dir = Path(args.out or sc.get("output", "dir", "out"))
+    out_dir.mkdir(parents=True, exist_ok=True)
     record.to_csv(out_dir / "run.csv")
     if do_check:
         _free_closed_form_check(plan, w0, t_final, w, out_dir)
@@ -306,8 +306,6 @@ def cmd_covariance(args) -> int:
     if len(masses) != 1:
         raise ScenarioError("[dynamics]: covariance needs exactly one mass")
     mass = masses[0]
-    out_dir = Path(args.out or sc.get("output", "dir", "out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
     tkind = sc.require("transform", "kind")
     worst = 0.0
     rows = []
@@ -339,6 +337,8 @@ def cmd_covariance(args) -> int:
                          t_final, phase.real, phase.imag, "", "", "", residual))
     else:
         raise ScenarioError(f"unknown transform kind {tkind!r}")
+    out_dir = Path(args.out or sc.get("output", "dir", "out"))
+    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "covariance.csv", "w", newline="") as fh:
         fh.write("formalism,g1,g2,a,v,t,phase_re,phase_im,"
                  "predicted_re,predicted_im,angle_error,residual\n")
@@ -358,14 +358,14 @@ def cmd_oracle(args) -> int:
     plan = build_plan_from(sc, grid)
     w0 = build_initial(sc, grid)
     t_final = read_t_final(sc, plan.dt)
-    out_dir = Path(args.out or sc.get("output", "dir", "out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
     with _config_errors("[oracle]"):    # before the run, so bad settings fail fast
         ref, valid = chars.reference_solution(
             w0, plan.masses, plan.potential, t_final, plan.formalism,
             **sc.sections.get("oracle", {}))
     record, w = ev.run(w0, plan, t_final, max(1, int(round(t_final / plan.dt))))
     metrics = chars.compare(w, ref, valid_mask=valid)
+    out_dir = Path(args.out or sc.get("output", "dir", "out"))
+    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "oracle.csv", "w", newline="") as fh:
         fh.write(",".join(["t"] + [f.name for f in fields(metrics)]) + "\n")
         fh.write(",".join(_fmt(v) for v in (t_final,) + astuple(metrics)) + "\n")

@@ -17,6 +17,11 @@ costs two FFT pairs.  Every flow is unitary up to rounding, so norms
 are preserved to ~1e-15 per step.  Forces are never finite-differenced:
 the gradient of the polynomial potential is taken symbolically.
 
+Buffers: ``run`` never mutates its initial state.  Its first step copies
+out of it, and every later FFT and multiply works in place on one buffer
+the run owns; the state ``run`` returns is that buffer.  ``step`` leaves
+its input alone unless called with ``overwrite``.
+
 A note on hybrid total momentum: the commutator of p+k with the hybrid
 generator equals i (d2V/dqdx) lam_p, so <p+k> is conserved (by the exact
 flow) only on states with <lam_p> = 0 and <lam_q> = <p>; for harmonic
@@ -51,11 +56,15 @@ from .grid import (
 )
 
 class NumericalAbort(RuntimeError):
-    """Raised when non-finite amplitudes appear during a run."""
+    """Non-finite amplitudes found by the check at ``step``; ``since`` is
+    the last step checked finite before it (None if none was)."""
 
-    def __init__(self, step: int):
-        super().__init__(f"non-finite amplitudes detected at step {step}")
+    def __init__(self, step: int, since: int | None = None):
+        window = ("no earlier step was checked" if since is None
+                  else f"they appeared after step {since}")
+        super().__init__(f"non-finite amplitudes detected at step {step} ({window})")
         self.step = step
+        self.since = since
 
 
 @dataclass(frozen=True)
@@ -172,6 +181,7 @@ class PropagatorPlan:
     masses: tuple                # classical (per q axis) then quantum (per x axis)
     potential: Potential
     dt: float
+    potential_values: np.ndarray | float = 0.0   # V on the grid, evaluated once
     substeps: tuple = ()
     _a: dict = field(default_factory=dict, repr=False)   # weight -> A flow
 
@@ -201,7 +211,8 @@ def build_plan(grid: GridSpec, formalism: str, masses: Sequence[float],
     if dt <= 0:
         raise ValueError("dt must be positive")
 
-    plan = PropagatorPlan(grid, formalism, masses, potential, float(dt))
+    plan = PropagatorPlan(grid, formalism, masses, potential, float(dt),
+                          potential.values(grid))
     # B(dt) as one p-spectral factor exp(-i dt (sum k_p force + V)): the
     # kick shifts each p by force*dt, and kvh and hybrid add exp(-i dt V)
     terms, axes = [], ()
@@ -222,7 +233,7 @@ def build_plan(grid: GridSpec, formalism: str, masses: Sequence[float],
             terms.append(grid.wavenumber(pname) * f)
             axes += (grid.index(pname),)
     if formalism != "kvn" and potential.cpoly is not None:
-        terms.append(potential.values(grid))
+        terms.append(plan.potential_values)
     if not terms:
         plan.substeps = (free_flow(grid, formalism, masses, dt),)
         return plan
@@ -234,11 +245,14 @@ def build_plan(grid: GridSpec, formalism: str, masses: Sequence[float],
 
 
 def step(w: Wavefunction, plan: PropagatorPlan, lead: float = 0.5,
-         trail: float = 0.5) -> Wavefunction:
+         trail: float = 0.5, overwrite: bool = False) -> Wavefunction:
     """A(lead dt) B(dt) A(trail dt); the defaults make one full Strang
     step, norm-preserving to rounding.  ``run`` passes lead = 1 to absorb
     the trailing half-flow a previous call left out with trail = 0.  A plan
-    without a V part is the exact A(dt), whatever the weights."""
+    without a V part is the exact A(dt), whatever the weights.
+
+    ``w.values`` is left unchanged unless ``overwrite`` is set, which lets
+    the step reuse its memory (as ``Flow.apply`` does)."""
     if w.grid != plan.grid:
         raise ValueError("wavefunction grid does not match the plan")
     flows = plan.substeps
@@ -249,7 +263,7 @@ def step(w: Wavefunction, plan: PropagatorPlan, lead: float = 0.5,
     v = w.values
     for flow in flows:
         if flow is not None:
-            v = flow.apply(v, overwrite=v is not w.values)
+            v = flow.apply(v, overwrite=overwrite or v is not w.values)
     return Wavefunction(plan.grid, v)
 
 
@@ -284,7 +298,7 @@ def _observables(w: Wavefunction, plan: PropagatorPlan) -> dict:
     for i, pname in enumerate(pn):
         energy += float(np.sum(dens * plan.grid.coordinate(pname) ** 2)) \
             / (2 * plan.masses[i]) / nrm2
-    Vg = plan.potential.values(plan.grid)
+    Vg = plan.potential_values
     if np.ndim(Vg):
         energy += float(np.sum(dens * Vg)) / nrm2
     k_mean = None
@@ -321,8 +335,11 @@ def run(w0: Wavefunction, plan: PropagatorPlan, t_final: float,
 
     Between samples the trailing A(dt/2) of each step merges into the
     next step's leading one; sampled and returned states are closed.
-    Raises NumericalAbort (with the offending step index) if amplitudes
-    stop being finite.
+    ``w0`` is never mutated: the first step copies out of it and later
+    steps work in place, so the returned state is the run's own buffer
+    (``w0`` itself only when there are no steps).
+    Finiteness is checked at each sample; NumericalAbort reports the
+    detecting step and the last step checked finite before it.
     """
     nsteps = step_count(t_final, plan.dt)
     if sample_every < 1:
@@ -330,14 +347,15 @@ def run(w0: Wavefunction, plan: PropagatorPlan, t_final: float,
     record = RunRecord()
     w = w0
     record.append(t=0.0, **_observables(w, plan))
-    lead = 0.5
+    lead, checked = 0.5, None
     for n in range(1, nsteps + 1):
         sampled = n % sample_every == 0 or n == nsteps
         trail = 0.5 if sampled else 0.0
-        w = step(w, plan, lead=lead, trail=trail)
+        w = step(w, plan, lead=lead, trail=trail, overwrite=w is not w0)
         lead = 1.0 - trail
         if sampled:
             if not np.all(np.isfinite(w.values)):
-                raise NumericalAbort(n)
+                raise NumericalAbort(n, checked)
+            checked = n
             record.append(t=n * plan.dt, **_observables(w, plan))
     return record, w

@@ -29,6 +29,9 @@ import numpy as np
 import scipy.fft as sfft
 
 _fft_workers = 1
+# Largest grid accepted: 2^26 cells, 1 GiB of complex128 amplitudes
+# (64 times the largest shipped grid, 32^4).
+MAX_CELLS = 2 ** 26
 
 
 def set_fft_workers(n: int) -> None:
@@ -90,6 +93,9 @@ class GridSpec:
         names = [a.name for a in self.axes]
         if len(set(names)) != len(names):
             raise ValueError("duplicate axis names")
+        cells = math.prod(self.shape)
+        if cells > MAX_CELLS:
+            raise ValueError(f"grid of {cells} cells exceeds the cap of {MAX_CELLS}")
 
     @property
     def shape(self) -> tuple:
@@ -131,7 +137,8 @@ class GridSpec:
 
 @dataclass(eq=False)
 class Wavefunction:
-    """Dense complex amplitudes over a grid; treated as an immutable value.
+    """Dense complex amplitudes over a grid; treated as an immutable value
+    (``evolve.run`` alone steps its own buffer in place).
 
     ``closed_form``, when present, evaluates the same function at
     arbitrary points (dict of coordinate arrays -> complex array); the

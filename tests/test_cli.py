@@ -146,6 +146,8 @@ def test_config_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert needle in err
+        if "--out" in argv:     # a config error makes no output directory
+            assert not Path(argv[argv.index("--out") + 1]).exists()
 
     # unparsable files: first line of the parser's message and the line number
     unparsable = tmp_path / "unparsable.cfg"
@@ -226,6 +228,10 @@ def test_config_errors(tmp_path, capsys):
          (("sweep_v = 0.0, 0.5, 1.0", "sweep_v ="),), "sweep_v needs at least one velocity"),
         ("covariance", "scenarios/covariance_kvh.cfg",
          (("sweep_v = 0.0, 0.5, 1.0", ""),), "missing key 'sweep_v'"),
+        ("evolve", "scenarios/free_kvh.cfg", (("potential = free", "potential = harmonic"),),
+         "[checks] closed_form applies to free scenarios"),
+        ("evolve", "scenarios/free_kvh.cfg", (("points = 256", "points = 1099511627776"),),
+         f"[grid]: grid of {2 ** 80} cells exceeds the cap of {2 ** 26}"),
         # keys that no longer exist fail as unknown keys
         ("evolve", "scenarios/free_kvh.cfg", (("points = 256", "points = 256\nrole = q"),),
          "unknown key 'role' in section [axis.q]"),
@@ -290,14 +296,21 @@ def test_truncated_scenarios_fail_only_as_scenario_errors(tmp_path_factory, data
 
 
 _LIST_VALUE = re.compile(r"^(axes|centers|widths|masses|sweep_a|sweep_v) *=(.*)$", re.M)
+_POINTS = re.compile(r"^points *=(.*)$", re.M)
+# point counts that shrink a grid or break a rule; none builds a large grid
+_POINT_COUNTS = (0, -16, 12, 8, 16, 2 ** 27, 2 ** 40)
 
 
 @st.composite
 def list_edits(draw):
     """A shipped scenario with one or two of its list values edited: an
     entry dropped, duplicated, appended or inserted empty, or the entries
-    shuffled.  Point counts are left alone."""
+    shuffled; and maybe one axis given another point count."""
     text = draw(st.sampled_from(SCENARIOS)).read_text()
+    if draw(st.booleans()):
+        m = draw(st.sampled_from(list(_POINTS.finditer(text))))
+        points = draw(st.sampled_from(_POINT_COUNTS))
+        text = text[:m.start(1)] + f" {points}" + text[m.end(1):]
     for _ in range(draw(st.integers(1, 2))):
         m = draw(st.sampled_from(list(_LIST_VALUE.finditer(text))))
         entries = [e.strip() for e in m.group(2).split(",")]

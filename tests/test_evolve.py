@@ -88,13 +88,25 @@ def random_runs(draw):
 @given(random_runs())
 def test_fused_run_equals_stepwise_and_is_unitary(case):
     plan, w0, nsteps, sample_every = case
+    start = w0.values.copy()
     rec, w_run = ev.run(w0, plan, nsteps * plan.dt, sample_every)
+    # run steps in place on its own buffer and never touches w0
+    assert np.array_equal(w0.values, start)
     w = w0
     for _ in range(nsteps):
-        w = ev.step(w, plan)
+        before = w.values.copy()
+        w_next = ev.step(w, plan)
+        assert np.array_equal(w.values, before)
+        w = w_next
     assert np.max(np.abs(w_run.values - w.values)) <= 1e-12
     assert np.max(np.abs(rec.series("norm") - 1.0)) <= 1e-12
     assert abs(norm(w_run) - 1.0) <= 1e-12
+    # the returned state can seed another run, which leaves it alone too,
+    # and a second run from the same w0 ends bit for bit where the first did
+    final = w_run.values.copy()
+    ev.run(w_run, plan, nsteps * plan.dt, sample_every)
+    assert np.array_equal(w_run.values, final)
+    assert np.array_equal(ev.run(w0, plan, nsteps * plan.dt, sample_every)[1].values, final)
 
 
 def _time_reversed(w):
@@ -236,7 +248,7 @@ def test_hybrid_momentum_exchange():
     assert np.max(np.abs(total_v - total_v[0])) >= 1e-3
 
 
-def test_run_validation_and_abort():
+def test_run_validation_and_abort(monkeypatch):
     pot = ev.make_potential("free", GRID)
     plan = ev.build_plan(GRID, "kvn", [1.0], pot, dt=0.1)
     with pytest.raises(ValueError, match="integer multiple"):
@@ -248,6 +260,29 @@ def test_run_validation_and_abort():
     with pytest.raises(ev.NumericalAbort) as err:
         ev.run(bad, plan, 0.5, sample_every=1)
     assert err.value.step == 1
+    assert str(err.value) == ("non-finite amplitudes detected at step 1 "
+                              "(no earlier step was checked)")
+
+    # a NaN made by step 4 is found at the step-6 sample; the message names
+    # the window after the last finite sample, at step 3
+    real_step = ev.step
+    calls = []
+
+    def poisoned(w, plan, **kw):
+        out = real_step(w, plan, **kw)
+        calls.append(kw)
+        if len(calls) == 4:
+            out.values[0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(ev, "step", poisoned)
+    with pytest.raises(ev.NumericalAbort) as err:
+        ev.run(W0, plan, 0.9, sample_every=3)
+    assert (err.value.step, err.value.since, len(calls)) == (6, 3, 6)
+    assert str(err.value) == ("non-finite amplitudes detected at step 6 "
+                              "(they appeared after step 3)")
+    # only the first step may not overwrite its input
+    assert [kw["overwrite"] for kw in calls] == [False] + [True] * 5
 
 
 def test_kick_wrap_warning():

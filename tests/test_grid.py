@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,10 @@ def test_axis_validation():
         with pytest.raises(ValueError, match="must start with q, p or x"):
             Axis(name, -1, 2, 16)
     assert [Axis(n, -1, 2, 16).role for n in ("q1", "p_2", "x")] == ["q", "p", "x"]
+    # the total cell count is capped at 2^26 before anything is allocated
+    assert GridSpec((Axis("q", -1, 2, 2 ** 13), Axis("p", -1, 2, 2 ** 13))).shape == (8192, 8192)
+    with pytest.raises(ValueError, match=f"grid of {2 ** 27} cells exceeds the cap of {2 ** 26}"):
+        GridSpec((Axis("q", -1, 2, 2 ** 13), Axis("p", -1, 2, 2 ** 14)))
 
 
 def test_inner_product_and_norm():
@@ -232,3 +238,13 @@ def test_load_state_rejects_malformed_dumps(tmp_path, mangle):
     with pytest.raises(ValueError) as info:
         load_state(bad)
     assert "\n" not in str(info.value)
+
+
+def test_load_state_refuses_a_huge_grid_before_reading_data(tmp_path):
+    good = tmp_path / "good.kvhw"
+    dump_state(W, good)
+    bad = tmp_path / "huge.kvhw"
+    raw = good.read_bytes()
+    bad.write_bytes(raw[:72] + struct.pack("<Q", 2 ** 40) + raw[80:])
+    with pytest.raises(ValueError, match=f"grid of {2 ** 46} cells exceeds the cap"):
+        load_state(bad)
