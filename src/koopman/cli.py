@@ -11,7 +11,7 @@ Scenarios are strict INI files (unknown sections or keys are errors,
 exit code 2).  Exit codes: 0 success, 1 verification failure, 2 usage or
 config error, 3 numerical abort.  Outputs are byte-identical for a given
 config and version, independent of --threads.  The scenario subcommands
-make their output directory only once they have results to write.
+make their output directory only after every config check.
 """
 
 from __future__ import annotations
@@ -263,10 +263,10 @@ def cmd_evolve(args) -> int:
     do_check = sc.get("checks", "closed_form", False)
     if do_check and plan.potential.cpoly is not None:
         raise ScenarioError("[checks] closed_form applies to free scenarios")
-
-    record, w = ev.run(w0, plan, t_final, sample_every)
     out_dir = Path(args.out or sc.get("output", "dir", "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
+
+    record, w = ev.run(w0, plan, t_final, sample_every)
     record.to_csv(out_dir / "run.csv")
     if do_check:
         _free_closed_form_check(plan, w0, t_final, w, out_dir)
@@ -337,6 +337,8 @@ def cmd_covariance(args) -> int:
                          t_final, phase.real, phase.imag, "", "", "", residual))
     else:
         raise ScenarioError(f"unknown transform kind {tkind!r}")
+    # after the sweep, which checks elements, masses and the grid, and
+    # takes milliseconds
     out_dir = Path(args.out or sc.get("output", "dir", "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "covariance.csv", "w", newline="") as fh:
@@ -362,10 +364,10 @@ def cmd_oracle(args) -> int:
         ref, valid = chars.reference_solution(
             w0, plan.masses, plan.potential, t_final, plan.formalism,
             **sc.sections.get("oracle", {}))
-    record, w = ev.run(w0, plan, t_final, max(1, int(round(t_final / plan.dt))))
-    metrics = chars.compare(w, ref, valid_mask=valid)
     out_dir = Path(args.out or sc.get("output", "dir", "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
+    record, w = ev.run(w0, plan, t_final, max(1, int(round(t_final / plan.dt))))
+    metrics = chars.compare(w, ref, valid_mask=valid)
     with open(out_dir / "oracle.csv", "w", newline="") as fh:
         fh.write(",".join(["t"] + [f.name for f in fields(metrics)]) + "\n")
         fh.write(",".join(_fmt(v) for v in (t_final,) + astuple(metrics)) + "\n")

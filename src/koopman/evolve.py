@@ -59,7 +59,7 @@ class NumericalAbort(RuntimeError):
     """Non-finite amplitudes found by the check at ``step``; ``since`` is
     the last step checked finite before it (None if none was)."""
 
-    def __init__(self, step: int, since: int | None = None):
+    def __init__(self, step: int, since: int | None):
         window = ("no earlier step was checked" if since is None
                   else f"they appeared after step {since}")
         super().__init__(f"non-finite amplitudes detected at step {step} ({window})")
@@ -181,7 +181,6 @@ class PropagatorPlan:
     masses: tuple                # classical (per q axis) then quantum (per x axis)
     potential: Potential
     dt: float
-    potential_values: np.ndarray | float = 0.0   # V on the grid, evaluated once
     substeps: tuple = ()
     _a: dict = field(default_factory=dict, repr=False)   # weight -> A flow
 
@@ -211,8 +210,7 @@ def build_plan(grid: GridSpec, formalism: str, masses: Sequence[float],
     if dt <= 0:
         raise ValueError("dt must be positive")
 
-    plan = PropagatorPlan(grid, formalism, masses, potential, float(dt),
-                          potential.values(grid))
+    plan = PropagatorPlan(grid, formalism, masses, potential, float(dt))
     # B(dt) as one p-spectral factor exp(-i dt (sum k_p force + V)): the
     # kick shifts each p by force*dt, and kvh and hybrid add exp(-i dt V)
     terms, axes = [], ()
@@ -233,7 +231,7 @@ def build_plan(grid: GridSpec, formalism: str, masses: Sequence[float],
             terms.append(grid.wavenumber(pname) * f)
             axes += (grid.index(pname),)
     if formalism != "kvn" and potential.cpoly is not None:
-        terms.append(plan.potential_values)
+        terms.append(potential.values(grid))
     if not terms:
         plan.substeps = (free_flow(grid, formalism, masses, dt),)
         return plan
@@ -298,7 +296,7 @@ def _observables(w: Wavefunction, plan: PropagatorPlan) -> dict:
     for i, pname in enumerate(pn):
         energy += float(np.sum(dens * plan.grid.coordinate(pname) ** 2)) \
             / (2 * plan.masses[i]) / nrm2
-    Vg = plan.potential_values
+    Vg = plan.potential.values(plan.grid)
     if np.ndim(Vg):
         energy += float(np.sum(dens * Vg)) / nrm2
     k_mean = None

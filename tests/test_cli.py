@@ -359,10 +359,24 @@ def test_element_ignores_fields_its_kind_does_not_use(tmp_path):
 
 def test_numerical_abort_exit_code(tiny_cfg, monkeypatch, tmp_path):
     def boom(*a, **k):
-        raise ev.NumericalAbort(7)
+        raise ev.NumericalAbort(7, 6)
     monkeypatch.setattr(cli.ev, "run", boom)
     rc = cli.main(["evolve", str(tiny_cfg), "--out", str(tmp_path / "x")])
     assert rc == cli.EXIT_NUMERIC
+
+
+@pytest.mark.parametrize("command,source", [("evolve", "TINY"),
+                                            ("oracle", "scenarios/oracle_free_kvh.cfg")])
+def test_unusable_out_fails_before_the_run(tiny_cfg, monkeypatch, tmp_path,
+                                           command, source):
+    def never(*a, **k):
+        raise AssertionError("propagated before making the output directory")
+    monkeypatch.setattr(cli.ev, "run", never)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    source = str(tiny_cfg) if source == "TINY" else source
+    with pytest.raises(OSError):
+        cli.main([command, source, "--out", str(blocker / "out")])
 
 
 def test_covariance_command(tmp_path):
