@@ -22,16 +22,17 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 from .evolve import Potential
 from .grid import Wavefunction, inner_product, phase_mask
 
 _RK4_NODES = (0.0, 0.5, 0.5, 1.0)
 _RK4_WEIGHTS = (1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0)
-# Seeds per block of the RK4 flow.  The compiled potential's temporaries
-# (64 KiB here) then stay under glibc's default 128 KiB mmap threshold,
-# so they are not mapped and zero-filled afresh at every stage.
+# Seeds per block of the RK4 flow.  Each row of a block's packed state is
+# a contiguous 64 KiB array, so the compiled potential's temporaries stay
+# under glibc's default 128 KiB mmap threshold and are not mapped and
+# zero-filled afresh at every stage.  A flow step is bound by its count
+# of numpy calls: smaller blocks pay the fixed cost per call more often.
 _FLOW_BLOCK = 8192
 
 
@@ -40,72 +41,76 @@ def integrate_flow(masses: Sequence[float], potential: Potential,
                    t_final: float, steps: int):
     """Fixed-step RK4 for dq = p/m, dp = -dV/dq, dS = sum p^2/2m - V.
 
-    ``seeds`` has shape (n, 2*npairs): q columns then p columns.  Returns
-    the end state (q, p, S), shaped (n, npairs), (n, npairs) and (n,).
+    ``seeds`` has shape (n, 2*npairs): q columns then p columns, with one
+    positive mass per q axis.  Returns the end state (q, p, S), shaped
+    (n, npairs), (n, npairs) and (n,); the seeds are left unchanged.
     Negative t_final integrates backward (the action integral is then
-    the backward accumulation; negate it for the forward action).
-    V and its gradient are compiled once.  Seeds are integrated in
-    blocks, and every stage writes into arrays allocated before the
-    first block.
+    the backward accumulation; negate it for the forward action).  A
+    block of seeds is one packed array of rows, q then p then S, so each
+    RK4 combination is one numpy call: a one-pair harmonic step makes 47
+    calls per block, 8 per stage for the derivative and 15 for the rest.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
     npair = len(qnames)
-    if seeds.shape[1] != 2 * npair:
+    if not npair or seeds.shape[1] != 2 * npair:
         raise ValueError("seeds must have q columns then p columns")
     masses = np.asarray(masses, dtype=float)
-    twice_masses = 2 * masses
+    if masses.shape != (npair,) or not np.all((masses > 0) & np.isfinite(masses)):
+        raise ValueError(f"need one positive, finite mass per q axis {tuple(qnames)}, "
+                         f"got {masses.tolist()}")
+    twice_masses, mass_rows = 2 * masses, masses[:, None]
     h = t_final / steps
     if potential.cpoly is None:
         V, forces = None, []
     else:
         V = potential.cpoly.compile()
-        grads = enumerate(potential.cpoly.partial(name) for name in qnames)
-        forces = [(d, g.compile()) for d, g in grads if not g.is_zero]
+        grads = enumerate(-potential.cpoly.partial(name) for name in qnames)
+        forces = [(npair + d, g.compile()) for d, g in grads if not g.is_zero]
     bindings = dict(potential.constants)
 
-    Q = seeds[:, :npair].copy()
-    P = seeds[:, npair:].copy()
-    S = np.zeros(len(seeds))
-    # work arrays for one block of seeds: a stage's derivatives, the
-    # weighted stage sums, the next stage's arguments and scratch
-    nb = max(1, min(_FLOW_BLOCK, len(seeds)))
-    pair_work = np.zeros((8, nb, npair))
-    action_work = np.zeros((3, nb))
+    n, rows = len(seeds), 2 * npair + 1
+    # not one packed (rows, n) array: as the flow's largest allocation,
+    # freeing it would lift glibc's dynamic mmap threshold and the RSS
+    q_end, p_end, s_end = np.empty((npair, n)), np.empty((npair, n)), np.empty(n)
+    # one block's packed state, derivative, weighted stage sum and next
+    # stage argument (no S row: no stage reads S); the force-free p rows
+    # of the derivative stay zero
+    nb = max(1, min(_FLOW_BLOCK, n))
+    work = np.zeros((4 * rows - 1, nb))
 
-    for lo in range(0, len(seeds), nb):
-        Qb, Pb, Sb = Q[lo:lo + nb], P[lo:lo + nb], S[lo:lo + nb]
-        kq, kp, aq, ap, Qs, Ps, tq, tp = pair_work[:, :len(Qb)]
-        ks, as_, ts = action_work[:, :len(Qb)]
+    for lo in range(0, n, nb):
+        block = seeds[lo:lo + nb]
+        y, k, acc, arg = (work[i:i + rows, :len(block)] for i in range(0, 4 * rows, rows))
+        y[:-1], y[-1] = block.T, 0.0
+        ks = k[-1]
         for _ in range(steps):
-            Qc, Pc = Qb, Pb
-            for acc in (aq, ap, as_):
-                acc.fill(0.0)
+            yc = y
             for stage, w in enumerate(_RK4_WEIGHTS):
-                np.divide(Pc, masses, out=kq)
-                for d, name in enumerate(qnames):
-                    bindings[name] = Qc[:, d]
-                for d, force in forces:
-                    np.negative(force(bindings), out=kp[:, d])
-                np.divide(np.square(Pc, out=tp), twice_masses, out=tp)
-                ks.fill(0.0)      # by columns: np.sum over a short last axis is slow
-                for d in range(npair):
-                    ks += tp[:, d]
+                pc = yc[npair:2 * npair]
+                for name, q in zip(qnames, yc):
+                    bindings[name] = q
+                np.divide(np.square(pc[0], out=ks), twice_masses[0], out=ks)
+                for d in range(1, npair):    # a q row of k is the scratch
+                    ks += np.divide(np.square(pc[d], out=k[d]), twice_masses[d], out=k[d])
                 if V is not None:
                     ks -= V(bindings)
-                aq += np.multiply(kq, w, out=tq)
-                ap += np.multiply(kp, w, out=tp)
-                as_ += np.multiply(ks, w, out=ts)
+                np.divide(pc, mass_rows, out=k[:npair])
+                for row, force in forces:
+                    k[row] = force(bindings)
                 if stage < 3:
                     c = h * _RK4_NODES[stage + 1]
-                    Qc = np.add(Qb, np.multiply(kq, c, out=Qs), out=Qs)
-                    Pc = np.add(Pb, np.multiply(kp, c, out=Ps), out=Ps)
-            Qb += np.multiply(aq, h, out=aq)
-            Pb += np.multiply(ap, h, out=ap)
-            Sb += np.multiply(as_, h, out=as_)
+                    yc = np.add(y[:-1], np.multiply(k[:-1], c, out=arg), out=arg)
+                if stage == 0:
+                    np.multiply(k, w, out=acc)
+                else:
+                    acc += np.multiply(k, w, out=k)
+            y += np.multiply(acc, h, out=acc)
+        q_end[:, lo:lo + nb], p_end[:, lo:lo + nb] = y[:npair], y[npair:-1]
+        s_end[lo:lo + nb] = y[-1]
 
-    return Q, P, S
+    return q_end.T, p_end.T, s_end
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +120,8 @@ def integrate_flow(masses: Sequence[float], potential: Potential,
 def _interpolate_samples(w0: Wavefunction, points: dict) -> np.ndarray:
     """Periodic cubic interpolation of the sampled amplitudes at
     arbitrary points."""
+    from scipy.ndimage import map_coordinates   # here: it slows every CLI start
+
     idx_coords = np.array([(np.asarray(points[a.name]) - a.min) / a.spacing
                            for a in w0.grid.axes])
     re = map_coordinates(w0.values.real, idx_coords, order=3, mode="grid-wrap")

@@ -315,7 +315,8 @@ class CPoly:
 
         Coefficients become floats, or complex numbers when some
         imaginary part is nonzero, so real polynomials give real results.
-        Terms are summed in the deterministic rendering order, and each
+        Terms are summed in the deterministic rendering order, starting
+        from the first term (the zero polynomial gives 0.0), and each
         power of a bound value is computed once per call.
         """
         real = all(c.im == 0 for c in self.terms.values())
@@ -325,16 +326,18 @@ class CPoly:
             for expo in sorted(self.terms, key=_term_order_key)
         ]
         powers = {f for _, factors in terms for f in factors}
+        if not terms:
+            return lambda bindings: 0.0
 
         def evaluate(bindings: Mapping[str, object]):
             table = {(s, e): bindings[s] if e == 1 else bindings[s] ** e
                      for s, e in powers}
-            out = 0.0 if real else 0j
+            out = None
             for coeff, factors in terms:
                 term = coeff
                 for f in factors:
                     term = term * table[f]
-                out = out + term
+                out = term if out is None else out + term
             return out
 
         return evaluate

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koopman import characteristics as ch
 from koopman import evolve as ev
@@ -14,6 +16,8 @@ GRID = make_grid()
 W0 = gaussian_init(GRID, centers=(0.0, 2.0), widths=(1.0, 1.0))
 FREE = ev.make_potential("free", GRID)
 HARMONIC = ev.make_potential("harmonic", GRID, {"kappa": 1.0})
+PAIR_GRID = GridSpec(tuple(Axis(n, -8.0, 16.0, 8)
+                           for n in ("q1", "q2", "p1", "p2")))
 
 
 def test_free_flow_closed_form():
@@ -72,6 +76,16 @@ def test_integrate_flow_validation():
         ch.integrate_flow([1.0], FREE, ("q",), np.zeros((1, 2)), 1.0, 0)
     with pytest.raises(ValueError, match="q columns"):
         ch.integrate_flow([1.0], FREE, ("q",), np.zeros((1, 3)), 1.0, 4)
+    with pytest.raises(ValueError, match="q columns"):
+        ch.integrate_flow([], FREE, (), np.zeros((1, 0)), 1.0, 4)
+    # one positive, finite mass per q axis, checked before any work
+    pair = ev.make_potential("pair", PAIR_GRID, {"kappa": 1.0})
+    for masses in ([1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]]):
+        with pytest.raises(ValueError, match="one positive, finite mass per q axis"):
+            ch.integrate_flow(masses, pair, ("q1", "q2"), np.zeros((3, 4)), 1.0, 4)
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match=r"mass per q axis \('q',\)"):
+            ch.integrate_flow([bad], HARMONIC, ("q",), np.ones((2, 2)), 1.0, 4)
 
 
 def test_reference_identity_at_t0():
@@ -164,8 +178,6 @@ def _plain_rk4(masses, force, potential, seeds, t_final, steps):
     return z[:, :n], z[:, n:2 * n], z[:, 2 * n]
 
 
-PAIR_GRID = GridSpec(tuple(Axis(n, -8.0, 16.0, 8)
-                           for n in ("q1", "q2", "p1", "p2")))
 HAND_CODED = {   # kind: (grid, constants, masses, force, V)
     "free": (GRID, {}, [1.3], lambda q: 0 * q, lambda q: 0 * q[:, 0]),
     "harmonic": (GRID, {"kappa": 0.8}, [0.7], lambda q: -0.8 * q,
@@ -194,3 +206,94 @@ def test_flow_matches_plain_rk4(kind, seed, t_final):
     for g, w in zip(got, want):
         np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
     assert np.array_equal(seeds, start)   # the seeds are left as they were
+
+
+def _column_flow(masses, potential, qnames, seeds, t_final, steps):
+    """The column-layout kernel that the packed one replaced, kept verbatim
+    (bar the ``ch.`` prefixes) as an oracle: q, p and S in separate
+    (n, npair) and (n,) arrays, with separate calls for each."""
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
+    npair = len(qnames)
+    if seeds.shape[1] != 2 * npair:
+        raise ValueError("seeds must have q columns then p columns")
+    masses = np.asarray(masses, dtype=float)
+    twice_masses = 2 * masses
+    h = t_final / steps
+    if potential.cpoly is None:
+        V, forces = None, []
+    else:
+        V = potential.cpoly.compile()
+        grads = enumerate(potential.cpoly.partial(name) for name in qnames)
+        forces = [(d, g.compile()) for d, g in grads if not g.is_zero]
+    bindings = dict(potential.constants)
+
+    Q = seeds[:, :npair].copy()
+    P = seeds[:, npair:].copy()
+    S = np.zeros(len(seeds))
+    # work arrays for one block of seeds: a stage's derivatives, the
+    # weighted stage sums, the next stage's arguments and scratch
+    nb = max(1, min(ch._FLOW_BLOCK, len(seeds)))
+    pair_work = np.zeros((8, nb, npair))
+    action_work = np.zeros((3, nb))
+
+    for lo in range(0, len(seeds), nb):
+        Qb, Pb, Sb = Q[lo:lo + nb], P[lo:lo + nb], S[lo:lo + nb]
+        kq, kp, aq, ap, Qs, Ps, tq, tp = pair_work[:, :len(Qb)]
+        ks, as_, ts = action_work[:, :len(Qb)]
+        for _ in range(steps):
+            Qc, Pc = Qb, Pb
+            for acc in (aq, ap, as_):
+                acc.fill(0.0)
+            for stage, w in enumerate(ch._RK4_WEIGHTS):
+                np.divide(Pc, masses, out=kq)
+                for d, name in enumerate(qnames):
+                    bindings[name] = Qc[:, d]
+                for d, force in forces:
+                    np.negative(force(bindings), out=kp[:, d])
+                np.divide(np.square(Pc, out=tp), twice_masses, out=tp)
+                ks.fill(0.0)      # by columns: np.sum over a short last axis is slow
+                for d in range(npair):
+                    ks += tp[:, d]
+                if V is not None:
+                    ks -= V(bindings)
+                aq += np.multiply(kq, w, out=tq)
+                ap += np.multiply(kp, w, out=tp)
+                as_ += np.multiply(ks, w, out=ts)
+                if stage < 3:
+                    c = h * ch._RK4_NODES[stage + 1]
+                    Qc = np.add(Qb, np.multiply(kq, c, out=Qs), out=Qs)
+                    Pc = np.add(Pb, np.multiply(kp, c, out=Ps), out=Ps)
+            Qb += np.multiply(aq, h, out=aq)
+            Pb += np.multiply(ap, h, out=ap)
+            Sb += np.multiply(as_, h, out=as_)
+
+    return Q, P, S
+
+
+_B = ch._FLOW_BLOCK
+_positive = st.floats(0.3, 2.5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(sorted(HAND_CODED)), constant=_positive,
+       mass_draws=st.lists(_positive, min_size=2, max_size=2),
+       t_final=st.floats(0.01, 1.0).flatmap(lambda t: st.sampled_from([t, -t])),
+       steps=st.integers(1, 12), n=st.sampled_from([1, _B - 1, _B, _B + 1, 2 * _B + 37]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_packed_flow_equals_the_column_kernel(kind, constant, mass_draws, t_final,
+                                              steps, n, seed):
+    grid = PAIR_GRID if kind == "pair" else GRID
+    name = "alpha" if kind == "quartic" else "kappa"
+    pot = ev.make_potential(kind, grid, {} if kind == "free" else {name: constant})
+    qnames = grid.names("q")
+    masses = mass_draws[:len(qnames)]
+    seeds = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(n, 2 * len(qnames)))
+    start = seeds.copy()
+    got = ch.integrate_flow(masses, pot, qnames, seeds, t_final, steps)
+    want = _column_flow(masses, pot, qnames, seeds, t_final, steps)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w)
+    assert np.array_equal(seeds, start)

@@ -176,6 +176,17 @@ def test_compile_matches_exact_evaluation(poly, point, unbound):
     assert arr.dtype.kind == ("f" if real else "c")
     assert np.all(np.abs(arr - exact) <= 1e-12 * scale)
     assert poly.evaluate(bindings) == got
+    # negation is exact, so the negated polynomial gives the negated value
+    # (== rather than bytes: an exact cancellation may differ in the sign of 0)
+    assert (-poly).compile()(bindings) == -got
+    assert np.array_equal((-poly).compile()({s: np.full((2, 1), v) for s, v in bindings.items()}),
+                          -arr)
+    # the sum starts from the first term: 0.0 for no terms, the float for a constant
+    zero = CPoly(SYMBOLS, {}).compile()(bindings)
+    assert zero == 0.0 and type(zero) is float
+    constant_only = CPoly(SYMBOLS, {(0, 0, 0): GaussianRational(point["q"])}).compile()
+    assert constant_only(bindings) == float(point["q"])
+    assert type(constant_only(bindings)) is float
     del bindings[unbound]
     with pytest.raises(ValueError, match="unbound"):
         poly.evaluate(bindings)

@@ -137,6 +137,15 @@ def _fresh_python(code: str) -> None:
     assert done.returncode == 0, done.stderr
 
 
+def test_cli_import_leaves_scipy_ndimage_unloaded():
+    # only the oracle's cubic interpolation needs it, and imports it there
+    _fresh_python(
+        "import sys\n"
+        "import koopman.cli\n"
+        "assert 'scipy.fft' in sys.modules\n"
+        "assert 'scipy.ndimage' not in sys.modules\n")
+
+
 def test_exact_algebra_imports_without_numeric_stack():
     # the exact algebra is pure Python; the numeric layer does not depend on it
     _fresh_python(
