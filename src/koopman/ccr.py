@@ -22,6 +22,7 @@ and an exact relation checker used by the verification suites.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -44,20 +45,20 @@ _KINDS = (
 _BASE_NAMES = {(sector, kind): base for sector, kind, base in _KINDS}
 
 
-@dataclass(frozen=True)
-class GeneratorId:
-    sector: str  # "classical" | "quantum"
-    kind: str    # pos | mom | lam_pos | lam_mom (classical); pos | mom (quantum)
-    particle: int
-    axis: int
+class GeneratorId(namedtuple("GeneratorId", "sector kind particle axis")):
+    """A letter of a word (see _KINDS): a validated tuple, hashed in C."""
 
-    def __post_init__(self):
-        if self.sector not in ("classical", "quantum"):
-            raise ValueError(f"bad sector {self.sector!r}")
-        if (self.sector, self.kind) not in _BASE_NAMES:
-            raise ValueError(f"bad kind {self.kind!r} for sector {self.sector!r}")
-        if self.particle < 1 or self.axis < 1:
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))   # _replace validates too
+
+    def __new__(cls, sector, kind, particle, axis):
+        if sector not in ("classical", "quantum"):
+            raise ValueError(f"bad sector {sector!r}")
+        if (sector, kind) not in _BASE_NAMES:
+            raise ValueError(f"bad kind {kind!r} for sector {sector!r}")
+        if particle < 1 or axis < 1:
             raise ValueError("particle and axis indices are 1-based")
+        return super().__new__(cls, sector, kind, particle, axis)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, fields
@@ -61,8 +62,14 @@ def _fmt(x) -> str:
 # scenario parsing (strict, typed)
 # ---------------------------------------------------------------------------
 
+def _float(s: str) -> float:
+    if not math.isfinite(value := float(s)):
+        raise ValueError("must be finite")
+    return value
+
+
 def _floats(s: str):
-    return tuple(float(v) for v in s.split(",")) if s.strip() else ()
+    return tuple(_float(v) for v in s.split(",")) if s.strip() else ()
 
 
 _SCHEMA = {
@@ -70,20 +77,20 @@ _SCHEMA = {
     "grid": {"axes": lambda s: tuple(v.strip() for v in s.split(","))},
     "dynamics": {
         "formalism": str, "masses": _floats, "potential": str,
-        "kappa": float, "alpha": float, "dt": float, "t_final": float,
+        "kappa": _float, "alpha": _float, "dt": _float, "t_final": _float,
         "sample_every": int, "interaction": str,
     },
     "initial": {"centers": _floats, "widths": _floats, "phase": str},
     "transform": {
-        "kind": str, "g1": str, "g1_v": float, "g1_t": float, "g1_a": float,
-        "g1_b": float, "g2": str, "g2_v": float, "g2_t": float, "g2_a": float,
-        "g2_b": float, "sweep_a": _floats, "sweep_v": _floats,
+        "kind": str, "g1": str, "g1_v": _float, "g1_t": _float, "g1_a": _float,
+        "g1_b": _float, "g2": str, "g2_v": _float, "g2_t": _float, "g2_a": _float,
+        "g2_b": _float, "sweep_a": _floats, "sweep_v": _floats,
     },
     "oracle": {"flow_steps": int, "interp": str},   # reference_solution's keywords
     "checks": {"closed_form": lambda s: s.lower() in ("1", "true", "yes")},
     "output": {"dir": str, "dump_state": lambda s: s.lower() in ("1", "true", "yes")},
 }
-_AXIS_KEYS = {"min": float, "extent": float, "points": int}
+_AXIS_KEYS = {"min": _float, "extent": _float, "points": int}
 
 
 @dataclass

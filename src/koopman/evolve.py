@@ -207,8 +207,8 @@ def build_plan(grid: GridSpec, formalism: str, masses: Sequence[float],
         raise ValueError("need one mass per classical pair and per x axis")
     if not all(0 < m < np.inf for m in masses):
         raise ValueError("masses must be positive and finite")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < np.inf:
+        raise ValueError("dt must be positive and finite")
 
     plan = PropagatorPlan(grid, formalism, masses, potential, float(dt))
     # B(dt) as one p-spectral factor exp(-i dt (sum k_p force + V)): the

@@ -5,9 +5,10 @@ phase-space observables f(q, p), potentials, Lagrangians, and the central
 scalars (masses, the time parameter t, coupling constants) that end up on
 the right-hand side of commutators.
 
-Coefficients are Gaussian rationals (exact complex numbers with Fraction
-real and imaginary parts), so the imaginary unit that appears in every
-canonical commutator is represented exactly and nothing is ever rounded.
+Coefficients are Gaussian rationals (exact complex numbers whose real and
+imaginary parts are each an int when integral, else a Fraction), so the
+imaginary unit that appears in every canonical commutator is represented
+exactly and nothing is ever rounded.
 Monomials carry integer exponents and negative exponents are allowed
 (Laurent terms): the streaming coefficient p/m and kinetic terms p**2/(2m)
 require 1/m with m kept symbolic.  Division is supported by a nonzero
@@ -20,18 +21,27 @@ order so reports are deterministic.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Mapping
 
 
+def _rational(x):
+    """x exactly: an int when integral, else a Fraction (never n/1)."""
+    if type(x) is not int:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 class GaussianRational:
-    """Exact complex number a + b*i with rational a, b."""
+    """Exact a + b*i: a and b are ints when integral, else Fractions;
+    equality and hashing agree with int, Fraction, float and complex."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        object.__setattr__(self, "re", _rational(re))
+        object.__setattr__(self, "im", _rational(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -72,22 +82,29 @@ class GaussianRational:
         d = other.re * other.re + other.im * other.im
         if d == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
+        return GaussianRational(  # through Fraction: int / int would round
+            Fraction(self.re * other.re + self.im * other.im, d),
+            Fraction(self.im * other.re - self.re * other.im, d),
         )
 
     def __rtruediv__(self, other):
         return _as_gr(other) / self
 
     def __eq__(self, other):
-        if not isinstance(other, (GaussianRational, int, Fraction, complex)):
+        if not isinstance(other, (GaussianRational, int, Fraction, float, complex)):
             return NotImplemented
-        other = _as_gr(other)
+        try:
+            other = _as_gr(other)
+        except (ValueError, OverflowError):  # nan and inf equal no exact number
+            return False
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # as the equal real or complex number (returning -1 gives -2)
+        if self.im == 0:
+            return hash(self.re)
+        half = 1 << (sys.hash_info.width - 1)
+        return (hash(self.re) + sys.hash_info.imag * hash(self.im) + half) % (2 * half) - half
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))
@@ -97,7 +114,7 @@ class GaussianRational:
 
     def __str__(self):
         # (a/b), (c/d i) or (a/b+c/d i); denominators always shown
-        def frac(x: Fraction) -> str:
+        def frac(x) -> str:  # int or Fraction
             return f"{x.numerator}/{x.denominator}"
 
         if self.im == 0:
@@ -116,12 +133,10 @@ ZERO = GaussianRational(0)
 def _as_gr(x) -> GaussianRational:
     if isinstance(x, GaussianRational):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, (int, Fraction, float)):
         return GaussianRational(x)
     if isinstance(x, complex):
-        return GaussianRational(Fraction(x.real), Fraction(x.imag))
-    if isinstance(x, float):
-        return GaussianRational(Fraction(x))
+        return GaussianRational(x.real, x.imag)
     raise TypeError(f"cannot coerce {type(x).__name__} to GaussianRational")
 
 
@@ -264,13 +279,15 @@ class CPoly:
         return CPoly(self.symbols, {e: c / other for e, c in self.terms.items()})
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, complex)):
-            other = CPoly.constant(self.symbols, other)
+        if isinstance(other, (GaussianRational, int, Fraction, float, complex)):
+            return not any(map(any, self.terms)) and self.constant_value() == other
         if not isinstance(other, CPoly):
             return NotImplemented
         return self.symbols == other.symbols and self.terms == other.terms
 
     def __hash__(self):
+        if not any(map(any, self.terms)):    # a constant equals its value
+            return hash(self.constant_value())
         return hash((self.symbols, frozenset(self.terms.items())))
 
     # -- calculus / evaluation --------------------------------------------

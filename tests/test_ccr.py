@@ -199,6 +199,48 @@ def test_generator_naming():
     assert "q2" in d3.mult_symbols and "p3" in d3.mult_symbols
 
 
+def test_generator_id_value_semantics():
+    alg = ccr.Algebra([ParticleSpec("classical", 2, "m1"), ParticleSpec("quantum", 2, "m2"),
+                       ParticleSpec("classical", 2, "m3")])
+    conjugate = {("classical", "lam_pos"): "pos", ("classical", "lam_mom"): "mom",
+                 ("quantum", "mom"): "pos"}
+    for g in alg.generators:
+        fresh = GeneratorId(g.sector, g.kind, g.particle, g.axis)
+        assert fresh is not g and fresh == g and hash(fresh) == hash(g)
+        assert alg.name(fresh) == alg.name(g) and alg.rank[fresh] == alg.rank[g]
+        # a derivative letter names its variable through an id built positionally
+        base = conjugate.get((g.sector, g.kind))
+        if base is not None:
+            target = GeneratorId(g.sector, base, g.particle, g.axis)
+            assert alg.name(target) == alg.name(alg.conjugate[g])
+    g = GeneratorId("classical", "pos", 1, 1)
+    assert repr(g) == "GeneratorId(sector='classical', kind='pos', particle=1, axis=1)"
+    assert GeneratorId(sector="classical", kind="pos", particle=1, axis=1) == g
+    with pytest.raises(AttributeError):
+        g.sector = "quantum"
+    with pytest.raises(AttributeError):
+        g.extra = 1
+    for args, message in ((("bosonic", "pos", 1, 1), "bad sector 'bosonic'"),
+                          (("quantum", "lam_pos", 1, 1), "bad kind 'lam_pos' for sector 'quantum'"),
+                          (("classical", "pos", 0, 1), "particle and axis indices are 1-based"),
+                          (("classical", "pos", 1, 0), "particle and axis indices are 1-based")):
+        with pytest.raises(ValueError) as err:
+            GeneratorId(*args)
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            g._replace(**dict(zip(g._fields, args)))
+        assert str(err.value) == message
+    # every word key is a tuple of GeneratorId, also after a product and a
+    # partial quantization
+    hyb = ccr.hybrid_pair(2)
+    gens = ccr.galilei_generators(hyb, "hybrid")
+    lstar = ccr.time_translation(ALG, "kvh", ALG.observable("q") ** 2)
+    for op in (*gens.values(), gens["boost_1"].commutator(gens["time_translation"]),
+               klein_quantize(lstar, {1})):
+        for word in op.terms:
+            assert type(word) is tuple and all(type(x) is GeneratorId for x in word)
+
+
 def test_klein_examples():
     Lstar = ccr.time_translation(ALG, "kvh")
     out = klein_quantize(Lstar, {1})

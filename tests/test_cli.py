@@ -203,7 +203,7 @@ def test_config_errors(tmp_path, capsys):
         ("covariance", weyl_kvn, (("formalism = kvn", "formalism = hybrid"),),
          "[transform] g1: unknown formalism 'hybrid'"),
         ("covariance", weyl_kvn, (("g1_v = 1.3", "g1_v = inf"),),
-         "[transform] g1: group parameters must be finite"),
+         "bad value for 'g1_v' in [transform]: 'inf' (must be finite)"),
         ("covariance", weyl_kvn, zero_mass, "mass must be positive and finite"),
         ("covariance", "scenarios/covariance_kvh.cfg", zero_mass,
          "mass must be positive and finite"),
@@ -244,6 +244,17 @@ def test_config_errors(tmp_path, capsys):
         ("covariance", "scenarios/covariance_kvh.cfg", (("sweep_v =", "v = 1.0\nsweep_v ="),),
          "unknown key 'v' in section [transform]"),
     ]
+    # every float, scalar or list entry, must be finite: none of these may
+    # run, round to zero steps or end in a numerical abort
+    for old, new in (("dt = 1e-3", "dt = inf"), ("dt = 1e-3", "dt = nan"),
+                     ("kappa = 1.0", "kappa = nan"), ("kappa = 1.0", "kappa = inf"),
+                     ("centers = 0.0, 2.0", "centers = nan, 2.0"),
+                     ("widths = 1.0, 1.0", "widths = nan, 1.0"),
+                     ("widths = 1.0, 1.0", "widths = inf, 1.0")):
+        key, value = new.split(" = ")
+        section = "initial" if key in ("centers", "widths") else "dynamics"
+        cases.append(("evolve", "scenarios/harmonic_kvh.cfg", ((old, new),),
+                      f"bad value for {key!r} in [{section}]: {value!r} (must be finite)"))
     for n, (command, source, edits, needle) in enumerate(cases):
         text = open(source).read()
         for old, new in edits:

@@ -138,8 +138,9 @@ def test_build_plan_validation():
         ev.build_plan(GRID, "magic", [1.0], free, 0.1)
     with pytest.raises(ValueError, match="one mass"):
         ev.build_plan(GRID, "kvn", [1.0, 2.0], free, 0.1)
-    with pytest.raises(ValueError, match="dt"):
-        ev.build_plan(GRID, "kvn", [1.0], free, -0.1)
+    for dt in (0.0, -0.1, np.inf, np.nan):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            ev.build_plan(GRID, "kvn", [1.0], free, dt)
     for mass in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="masses must be positive and finite"):
             ev.build_plan(GRID, "kvh", [mass], free, 0.1)

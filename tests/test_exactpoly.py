@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koopman.exactpoly import CPoly, GaussianRational, I, SymbolMismatch
+from koopman import evolve as ev
+from koopman.exactpoly import CPoly, GaussianRational, I, SymbolMismatch, _term_order_key
+from koopman.grid import Axis, GridSpec
 
 
 def ring(names: str) -> dict:
@@ -31,6 +34,204 @@ def test_gaussian_rational_rendering():
     assert str(GaussianRational(1, 0)) == "1/1"
     assert str(GaussianRational(0, 1)) == "1/1i"
     assert str(GaussianRational(1, -2)) == "1/1-2/1i"
+
+
+def test_equality_and_hash_agree_with_builtin_numbers():
+    assert GaussianRational(1) == 1 and hash(GaussianRational(1)) == hash(1)
+    assert {GaussianRational(1): "x"}.get(1) == "x"
+    assert GaussianRational(1) == 1.0 and GaussianRational(1, -2) == 1 - 2j
+    assert GaussianRational(Fraction(1, 2)) == 0.5
+    for bad in (math.nan, math.inf, -math.inf, complex(math.inf, 0), complex(0, math.nan)):
+        assert GaussianRational(1) != bad and not GaussianRational(1) == bad
+    const = CPoly.constant(("q",), 1)
+    assert const == 1 and const == 1.0 and hash(const) == hash(1)
+    assert CPoly(("q",)) == 0 and hash(CPoly(("q",))) == hash(0)
+    assert CPoly.constant(("q",), I) == 1j and hash(CPoly.constant(("q",), I)) == hash(1j)
+    assert CPoly.variable(("q",), "q") != 1.0
+
+
+# exact values whose float forms are exact, large hashes (2^-40, 2^70) that
+# overflow the complex-hash combination, and -1, which hashes as -2
+_hash_values = st.sampled_from([Fraction(v) for v in (
+    0, 1, -1, -3, "1/2", "-5/4", "1/3", "3/1099511627776", 2 ** 70, "7/2")])
+
+
+def _forms(re, im) -> list:
+    """re + im*i as a GaussianRational, a complex, a constant CPoly and,
+    when real, as an int (when integral), a Fraction and a float."""
+    forms = [GaussianRational(re, im), complex(re, im),
+             CPoly.constant(("q",), GaussianRational(re, im))]
+    if im == 0:
+        forms += [re, float(re)] + ([int(re)] if re.denominator == 1 else [])
+    return forms
+
+
+@settings(max_examples=400, deadline=None)
+@given(_hash_values, _hash_values, _hash_values, st.data())
+def test_equal_numbers_hash_equal(re, im, other_re, data):
+    a = data.draw(st.sampled_from(_forms(re, im)))
+    b = data.draw(st.sampled_from(_forms(re, im) + _forms(other_re, im)))
+    if a == b:
+        assert b == a
+        assert hash(a) == hash(b)
+        assert {a: "x"}.get(b) == "x"
+
+
+class _FractionGR:
+    """The ring's previous coefficient type, kept as a test oracle: both
+    parts always Fractions, every operation through Fraction arithmetic."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        object.__setattr__(self, "re", Fraction(re))
+        object.__setattr__(self, "im", Fraction(im))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GaussianRational is immutable")
+
+    @property
+    def is_zero(self) -> bool:
+        return self.re == 0 and self.im == 0
+
+    def conjugate(self):
+        return _FractionGR(self.re, -self.im)
+
+    def __add__(self, other):
+        other = _oracle_as_gr(other)
+        return _FractionGR(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _FractionGR(-self.re, -self.im)
+
+    def __sub__(self, other):
+        return self + (-_oracle_as_gr(other))
+
+    def __rsub__(self, other):
+        return _oracle_as_gr(other) + (-self)
+
+    def __mul__(self, other):
+        other = _oracle_as_gr(other)
+        return _FractionGR(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _oracle_as_gr(other)
+        d = other.re * other.re + other.im * other.im
+        if d == 0:
+            raise ZeroDivisionError("division by zero GaussianRational")
+        return _FractionGR(
+            (self.re * other.re + self.im * other.im) / d,
+            (self.im * other.re - self.re * other.im) / d,
+        )
+
+    def __rtruediv__(self, other):
+        return _oracle_as_gr(other) / self
+
+    def __eq__(self, other):
+        if not isinstance(other, (_FractionGR, int, Fraction, complex)):
+            return NotImplemented
+        other = _oracle_as_gr(other)
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
+    def __str__(self):
+        # (a/b), (c/d i) or (a/b+c/d i); denominators always shown
+        def frac(x: Fraction) -> str:
+            return f"{x.numerator}/{x.denominator}"
+
+        if self.im == 0:
+            return frac(self.re)
+        if self.re == 0:
+            return f"{frac(self.im)}i"
+        sign = "+" if self.im > 0 else "-"
+        return f"{frac(self.re)}{sign}{frac(abs(self.im))}i"
+
+
+def _oracle_as_gr(x) -> _FractionGR:
+    if isinstance(x, _FractionGR):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return _FractionGR(x)
+    if isinstance(x, complex):
+        return _FractionGR(Fraction(x.real), Fraction(x.imag))
+    raise TypeError(f"cannot coerce {type(x).__name__} to _FractionGR")
+
+
+_parts = st.builds(Fraction, st.integers(-24, 24), st.integers(1, 12))
+
+
+@st.composite
+def part_pairs(draw):
+    """Two rational parts with denominators 1-12; the second is often the
+    complement that makes their sum or product an integer, e.g. 1/2 + 1/2."""
+    a = draw(_parts)
+    k = draw(st.integers(-3, 3))
+    return a, draw(st.sampled_from([draw(_parts), k - a, k / a if a else Fraction(k)]))
+
+
+def _canonical(x) -> bool:
+    return type(x) is int if Fraction(x).denominator == 1 else type(x) is Fraction
+
+
+@settings(max_examples=300, deadline=None)
+@given(part_pairs(), part_pairs(), st.sampled_from([2, -3, Fraction(1, 2), Fraction(-5, 3), 2j]))
+def test_ring_matches_fraction_oracle(re_pair, im_pair, scalar):
+    (ar, br), (ai, bi) = re_pair, im_pair
+    a, b = GaussianRational(ar, ai), GaussianRational(br, bi)
+    oa, ob = _FractionGR(ar, ai), _FractionGR(br, bi)
+    cases = [(a + b, oa + ob), (a - b, oa - ob), (a * b, oa * ob), (-a, -oa),
+             (a.conjugate(), oa.conjugate()), (a + scalar, oa + scalar),
+             (scalar - a, scalar - oa), (a * scalar, oa * scalar), (a / scalar, oa / scalar)]
+    if not ob.is_zero:
+        cases += [(a / b, oa / ob), (scalar / b, scalar / ob)]
+    for got, want in cases:
+        assert got.re == want.re and got.im == want.im
+        assert _canonical(got.re) and _canonical(got.im)
+        assert str(got) == str(want)
+        assert complex(got) == complex(want)
+    assert (a == b) == (oa == ob)
+    assert (a == ar) == (oa == ar)
+    if ob.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+
+
+def _oracle_evaluate(poly, bindings):
+    """compile()'s term order and products, with each coefficient
+    converted to a float or complex through the Fraction-only oracle."""
+    coeffs = {e: _FractionGR(c.re, c.im) for e, c in poly.terms.items()}
+    real = all(c.im == 0 for c in coeffs.values())
+    out = None
+    for expo in sorted(coeffs, key=_term_order_key):
+        term = float(coeffs[expo].re) if real else complex(coeffs[expo])
+        for s, e in zip(poly.symbols, expo):
+            if e:
+                term = term * (bindings[s] if e == 1 else bindings[s] ** e)
+        out = term if out is None else out + term
+    return out
+
+
+@pytest.mark.parametrize("kind, names", [("harmonic", "q p"), ("quartic", "q1 q2 p1 p2"),
+                                         ("pair", "q1 q2 p1 p2"), ("hybrid_pair", "q p x")])
+def test_compile_of_potentials_matches_fraction_oracle(kind, names):
+    grid = GridSpec(tuple(Axis(n, -4.0, 8.0, 8) for n in names.split()))
+    V = ev.make_potential(kind, grid, {"kappa": 1.3, "alpha": 0.7}).cpoly
+    rng = np.random.default_rng(17)
+    bindings = {s: rng.normal(size=(3, 4)) for s in V.symbols}
+    for poly in (V, V.partial(V.symbols[-1]), V * GaussianRational(Fraction(1, 3), -2)):
+        assert np.array_equal(poly.compile()(bindings), _oracle_evaluate(poly, bindings))
 
 
 def test_add_examples():
