@@ -300,6 +300,10 @@ def _sum(algebra: Algebra, parts: Iterable["NCPoly"]) -> "NCPoly":
     return NCPoly(algebra, acc)
 
 
+# what multiplies an NCPoly as a central coefficient, converted exactly
+_SCALARS = (CPoly, GaussianRational, int, Fraction, float, complex)
+
+
 class NCPoly:
     """Normal-ordered noncommutative polynomial over central CPoly coefficients."""
 
@@ -341,7 +345,7 @@ class NCPoly:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (CPoly, GaussianRational, int, Fraction, complex)):
+        if isinstance(other, _SCALARS):
             coeff = self.algebra.coeff(other)
             return NCPoly(self.algebra, {w: c * coeff for w, c in self.terms.items()})
         other = self._coerce(other)
@@ -350,10 +354,7 @@ class NCPoly:
             for w1, c1 in self.terms.items() for w2, c2 in other.terms.items()
         ))
 
-    def __rmul__(self, other):
-        if isinstance(other, (CPoly, GaussianRational, int, Fraction, complex)):
-            return self * other
-        return self._coerce(other) * self
+    __rmul__ = __mul__      # only scalars reach it, and they are central
 
     def commutator(self, other: "NCPoly") -> "NCPoly":
         other = self._coerce(other)
@@ -370,15 +371,17 @@ class NCPoly:
         ))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, complex, CPoly)):
-            other = self._coerce(other)
+        if isinstance(other, _SCALARS):     # as its coefficient, by CPoly's rules
+            return self.is_central() and self.central_part() == other
         if not isinstance(other, NCPoly):
             return NotImplemented
         self._check(other)
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset((w, c) for w, c in self.terms.items()))
+        if self.is_central():       # a central operator equals its coefficient
+            return hash(self.central_part())
+        return hash(frozenset(self.terms.items()))
 
     def central_part(self) -> CPoly:
         """Coefficient of the identity word."""

@@ -7,11 +7,12 @@ Subcommands:
   covariance CFG  Weyl-phase and boost-covariance experiments
   oracle CFG      spectral run versus the characteristics reference
 
-Scenarios are strict INI files (unknown sections or keys are errors,
-exit code 2).  Exit codes: 0 success, 1 verification failure, 2 usage or
-config error, 3 numerical abort.  Outputs are byte-identical for a given
-config and version, independent of --threads.  The scenario subcommands
-make their output directory only after every config check.
+Scenarios are strict INI files (unknown sections or keys, and those the
+run kind never reads, are errors, exit code 2).  Exit codes: 0 success,
+1 verification failure, 2 usage or config error, 3 numerical abort.
+Outputs are byte-identical for a given config and version, independent
+of --threads.  The scenario subcommands make their output directory only
+after every config check.
 """
 
 from __future__ import annotations
@@ -81,16 +82,25 @@ _SCHEMA = {
         "sample_every": int, "interaction": str,
     },
     "initial": {"centers": _floats, "widths": _floats, "phase": str},
-    "transform": {
-        "kind": str, "g1": str, "g1_v": _float, "g1_t": _float, "g1_a": _float,
-        "g1_b": _float, "g2": str, "g2_v": _float, "g2_t": _float, "g2_a": _float,
-        "g2_b": _float, "sweep_a": _floats, "sweep_v": _floats,
-    },
+    "transform": {"kind": str, "sweep_a": _floats, "sweep_v": _floats},
     "oracle": {"flow_steps": int, "interp": str},   # reference_solution's keywords
     "checks": {"closed_form": lambda s: s.lower() in ("1", "true", "yes")},
     "output": {"dir": str, "dump_state": lambda s: s.lower() in ("1", "true", "yes")},
 }
 _AXIS_KEYS = {"min": _float, "extent": _float, "points": int}
+
+# the keys each run reads beside [run], [grid], the axes and [initial]; a
+# covariance scenario runs as its [transform] kind
+_DYNAMICS = " ".join(_SCHEMA["dynamics"])
+_READS = {
+    "evolve": {"dynamics": _DYNAMICS, "checks": "closed_form", "output": "dir dump_state"},
+    "oracle": {"dynamics": _DYNAMICS.replace("sample_every", ""),
+               "oracle": "flow_steps interp", "output": "dir"},
+    "weyl": {"dynamics": "formalism masses", "transform": "kind sweep_a sweep_v",
+             "output": "dir"},
+    "covariance": {"dynamics": "formalism masses t_final", "transform": "kind sweep_v",
+                   "output": "dir"},
+}
 
 
 @dataclass
@@ -148,6 +158,27 @@ def parse_scenario(path) -> Scenario:
     if kind not in ("evolve", "covariance", "oracle"):
         raise ScenarioError(f"unknown run kind {kind!r}")
     return Scenario(path, kind, sections)
+
+
+def _load_scenario(path, kind: str) -> Scenario:
+    """The scenario at ``path``; it must be of run ``kind`` and set no
+    section or key that the run never reads."""
+    sc = parse_scenario(path)
+    if sc.kind != kind:
+        raise ScenarioError(f"scenario kind {sc.kind!r}, expected {kind!r}")
+    if kind == "covariance":
+        kind = sc.require("transform", "kind")
+        if kind not in ("weyl", "covariance"):
+            raise ScenarioError(f"unknown transform kind {kind!r}")
+    for sec, values in sc.sections.items():
+        if sec in ("run", "grid", "axis", "initial"):      # every run reads them
+            continue
+        reads = _READS[kind].get(sec)
+        unread = [k for k in values if k not in (reads or "").split()]
+        if unread or reads is None:
+            what = f"key {unread[0]!r} in section" if unread else "section"
+            raise ScenarioError(f"{what} [{sec}] is not read by {kind} runs")
+    return sc
 
 
 def build_grid(sc: Scenario) -> GridSpec:
@@ -257,9 +288,7 @@ def _free_closed_form_check(plan, w0, t, w, out_dir):
 
 
 def cmd_evolve(args) -> int:
-    sc = parse_scenario(args.scenario)
-    if sc.kind != "evolve":
-        raise ScenarioError(f"scenario kind {sc.kind!r}, expected 'evolve'")
+    sc = _load_scenario(args.scenario, "evolve")
     grid = build_grid(sc)
     plan = build_plan_from(sc, grid)
     w0 = build_initial(sc, grid)
@@ -284,28 +313,15 @@ def cmd_evolve(args) -> int:
     return EXIT_OK
 
 
-def _element(sc, which: str, formalism: str, mass: float,
-             a: float | None = None, v: float | None = None) -> ga.GroupElement:
-    """Element ``which`` of [transform], a sweep value ``a`` or ``v`` replacing
-    the configured one; the fields its kind does not read stay 0."""
-    kind = sc.require("transform", which)
-    get = lambda k, d=0.0: sc.get("transform", f"{which}_{k}", d)
-    with _config_errors(f"[transform] {which}"):
-        if kind == "translation":
-            return ga.translation(get("a") if a is None else a, formalism, mass)
-        if kind == "momentum_translation":
-            return ga.momentum_translation(get("b"), formalism, mass)
-        if kind == "boost":
-            return ga.boost(get("v") if v is None else v, get("t"), formalism, mass)
-        if kind == "free_time":
-            return ga.free_time(get("t"), formalism, mass)
-    raise ScenarioError(f"unknown transform element {kind!r}")
+def _sweep(sc: Scenario, key: str, what: str) -> tuple:
+    values = sc.require("transform", key)
+    if not values:
+        raise ScenarioError(f"[transform]: {key} needs at least one {what}")
+    return values
 
 
 def cmd_covariance(args) -> int:
-    sc = parse_scenario(args.scenario)
-    if sc.kind != "covariance":
-        raise ScenarioError(f"scenario kind {sc.kind!r}, expected 'covariance'")
+    sc = _load_scenario(args.scenario, "covariance")
     grid = build_grid(sc)
     w0 = build_initial(sc, grid)
     formalism = sc.require("dynamics", "formalism")
@@ -313,28 +329,24 @@ def cmd_covariance(args) -> int:
     if len(masses) != 1:
         raise ScenarioError("[dynamics]: covariance needs exactly one mass")
     mass = masses[0]
-    tkind = sc.require("transform", "kind")
+    sweep_v = _sweep(sc, "sweep_v", "velocity")
     worst = 0.0
     rows = []
-    if tkind == "weyl":
-        sweep_a = sc.get("transform", "sweep_a") or (None,)
-        sweep_v = sc.get("transform", "sweep_v") or (None,)
-        for a in sweep_a:
+    if sc.require("transform", "kind") == "weyl":
+        # boost(v, t=0) against translation(a): the paper's Weyl pair
+        for a in _sweep(sc, "sweep_a", "offset"):
             for v in sweep_v:
-                g1 = _element(sc, "g1", formalism, mass, v=v)
-                g2 = _element(sc, "g2", formalism, mass, a=a)
                 with _config_errors("[transform]"):
+                    g1 = ga.boost(v, 0.0, formalism, mass)
+                    g2 = ga.translation(a, formalism, mass)
                     phase, residual = ga.weyl_phase(g1, g2, w0)
                     predicted = ga.predicted_weyl_phase(g1, g2)
                 angle_err = abs(np.angle(phase * np.conj(predicted)))
                 worst = max(worst, residual, angle_err)
-                rows.append((formalism, g1.kind, g2.kind, g2.a, g1.v, g1.t,
+                rows.append((formalism, g1.kind, g2.kind, a, v, g1.t,
                              phase.real, phase.imag, predicted.real,
                              predicted.imag, angle_err, residual))
-    elif tkind == "covariance":
-        sweep_v = sc.require("transform", "sweep_v")
-        if not sweep_v:
-            raise ScenarioError("[transform]: sweep_v needs at least one velocity")
+    else:
         t_final = read_t_final(sc)
         for v in sweep_v:
             with _config_errors("[transform]"):
@@ -342,8 +354,6 @@ def cmd_covariance(args) -> int:
             worst = max(worst, residual)
             rows.append((formalism, "boost+evolve", "evolve+boost", "", v,
                          t_final, phase.real, phase.imag, "", "", "", residual))
-    else:
-        raise ScenarioError(f"unknown transform kind {tkind!r}")
     # after the sweep, which checks elements, masses and the grid, and
     # takes milliseconds
     out_dir = Path(args.out or sc.get("output", "dir", "out"))
@@ -360,9 +370,7 @@ def cmd_covariance(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    sc = parse_scenario(args.scenario)
-    if sc.kind != "oracle":
-        raise ScenarioError(f"scenario kind {sc.kind!r}, expected 'oracle'")
+    sc = _load_scenario(args.scenario, "oracle")
     grid = build_grid(sc)
     plan = build_plan_from(sc, grid)
     w0 = build_initial(sc, grid)

@@ -43,7 +43,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .exactpoly import CPoly
+from .exactpoly import CPoly, pair_potential
 from .grid import (
     GridSpec,
     Wavefunction,
@@ -98,7 +98,8 @@ def make_potential(kind: str, grid: GridSpec, constants: Mapping | None = None) 
     harmonic:    kappa/2 sum q^2        (any number of q axes)
     quartic:     alpha/4 sum q^4
     pair:        kappa/2 (q1 - q2)^2    (exactly two q axes)
-    hybrid_pair: kappa/2 (q - x)^2      (one q and one x axis)
+    hybrid_pair: kappa/2 (q - x)^2      (one q and one x axis), both from
+                 exactpoly.pair_potential, as the exact suites build them
     """
     constants = {k: float(v) for k, v in (constants or {}).items()}
     if kind == "free":
@@ -122,13 +123,11 @@ def make_potential(kind: str, grid: GridSpec, constants: Mapping | None = None) 
     elif kind == "pair":
         if len(qnames) != 2:
             raise ValueError("pair coupling needs exactly two q axes")
-        d = var(qnames[0]) - var(qnames[1])
-        V = var("kappa") * d * d / 2
+        V = pair_potential(symbols, [qnames])
     elif kind == "hybrid_pair":
         if len(qnames) != 1 or len(xnames) != 1:
             raise ValueError("hybrid coupling needs one q and one x axis")
-        d = var(qnames[0]) - var(xnames[0])
-        V = var("kappa") * d * d / 2
+        V = pair_potential(symbols, [qnames + xnames])
     else:
         raise ValueError(f"unsupported potential kind {kind!r}")
     return Potential(V, constants)

@@ -384,6 +384,13 @@ class CPoly:
         return f"CPoly({self.render()})"
 
 
+def pair_potential(symbols: tuple, pairs) -> CPoly:
+    """V = kappa/2 sum (a - b)^2 over the symbol-name pairs (a, b)."""
+    var = lambda name: CPoly.variable(symbols, name)
+    return sum((var("kappa") * (var(a) - var(b)) ** 2 / 2 for a, b in pairs),
+               CPoly.constant(symbols, 0))
+
+
 def _term_order_key(expo: tuple) -> tuple:
     # graded lex, highest degree first, then lexicographically largest first
     return (-sum(expo), tuple(-e for e in expo))

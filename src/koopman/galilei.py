@@ -1,13 +1,13 @@
 """Finite Galilei transformations on phase-space wavefunctions.
 
-Implements the unitary actions of translations, momentum translations,
-boosts and free time evolution for a single classical particle in one
-dimension, in both the non-projective (kvn) and projective (kvh)
-representations.  Each element is one exact flow: translations and
-boosts shift q by a + v t and p by b + m v with one spectral phase
-factor over the axes that move, and free time is the propagator's free
-flow.  The projective boost then multiplies the position-dependent phase
-that makes the boost/translation pair noncommute up to a global phase.
+Implements the unitary actions of translations, boosts and free time
+evolution for a single classical particle in one dimension, in both the
+non-projective (kvn) and projective (kvh) representations.  Each element
+is one exact flow: translations and boosts shift q by a + v t and p by
+m v with one spectral phase factor over the axes that move, and free
+time is the propagator's free flow.  The projective boost then
+multiplies the position-dependent phase that makes the
+boost/translation pair noncommute up to a global phase.
 
 The measured Weyl phase between two finite transformations is compared
 against the prediction derived from the symbolic commutator of their
@@ -25,25 +25,23 @@ from fractions import Fraction
 import numpy as np
 
 from . import ccr
-from .exactpoly import GaussianRational
+from .exactpoly import I
 from .evolve import Flow, free_flow
 from .grid import Wavefunction, inner_product, norm
 
 
 # the parameters each kind reads; the others must stay 0
-_READS = {"translation": "a", "momentum_translation": "b", "boost": "vt",
-          "free_time": "t"}
+_READS = {"translation": "a", "boost": "vt", "free_time": "t"}
 
 
 @dataclass(frozen=True)
 class GroupElement:
     """One finite transformation; boosts carry their evaluation time
     explicitly because the boost generator is time dependent."""
-    kind: str        # translation | momentum_translation | boost | free_time
+    kind: str        # translation | boost | free_time
     formalism: str   # kvn | kvh
     mass: float = 1.0
     a: float = 0.0   # translation offset
-    b: float = 0.0   # momentum offset
     v: float = 0.0   # boost velocity
     t: float = 0.0   # boost evaluation time / time-translation span
 
@@ -54,20 +52,16 @@ class GroupElement:
             raise ValueError(f"unknown formalism {self.formalism!r}")
         if not 0 < self.mass < np.inf:
             raise ValueError("mass must be positive and finite")
-        for value in (self.a, self.b, self.v, self.t):
+        for value in (self.a, self.v, self.t):
             if not np.isfinite(value):
                 raise ValueError("group parameters must be finite")
-        unread = [f for f in "abvt" if f not in _READS[self.kind] and getattr(self, f)]
+        unread = [f for f in "avt" if f not in _READS[self.kind] and getattr(self, f)]
         if unread:
             raise ValueError(f"a {self.kind} does not read {', '.join(unread)}")
 
 
 def translation(a: float, formalism: str, mass: float = 1.0) -> GroupElement:
     return GroupElement("translation", formalism, mass, a=a)
-
-
-def momentum_translation(b: float, formalism: str, mass: float = 1.0) -> GroupElement:
-    return GroupElement("momentum_translation", formalism, mass, b=b)
 
 
 def boost(v: float, t: float = 0.0, formalism: str = "kvn", mass: float = 1.0) -> GroupElement:
@@ -87,8 +81,8 @@ def act(g: GroupElement, w: Wavefunction) -> Wavefunction:
     qn, pn = qn[0], pn[0]
     if g.kind == "free_time":
         flow = free_flow(grid, g.formalism, [m], g.t)
-    else:   # psi(q - a - v t, p - b - m v); the fields a kind does not use are 0
-        moves = [(n, d) for n, d in ((qn, g.a + g.v * g.t), (pn, g.b + m * g.v)) if d]
+    else:   # psi(q - a - v t, p - m v); the fields a kind does not use are 0
+        moves = [(n, d) for n, d in ((qn, g.a + g.v * g.t), (pn, m * g.v)) if d]
         expo = sum(grid.wavenumber(n) * d for n, d in moves)
         flow = Flow(tuple(grid.index(n) for n, _ in moves), (np.exp(-1j * expo),))
     out = flow.apply(w.values)
@@ -104,20 +98,14 @@ def act(g: GroupElement, w: Wavefunction) -> Wavefunction:
 def _exponent_operator(g: GroupElement, alg: ccr.Algebra) -> ccr.NCPoly:
     """The exponent X in U = e^X, with all parameters folded in exactly."""
     mi = Fraction(g.mass)
-    minus_i = GaussianRational(0, -1)
-    plus_i = GaussianRational(0, 1)
     if g.kind == "translation":
-        return alg.op("lam_q", minus_i * Fraction(g.a))
-    if g.kind == "momentum_translation":
-        return alg.op("lam_p", minus_i * Fraction(g.b))
-    obs = lambda n: alg.observable(n)
+        return alg.op("lam_q", -I * Fraction(g.a))
+    obs = alg.observable
     if g.kind == "boost":
         gfun = mi * obs("q") - Fraction(g.t) * obs("p")
-        return alg.apply_rule(gfun, g.formalism) * (plus_i * Fraction(g.v))
-    if g.kind == "free_time":
-        hfun = obs("p") * obs("p") / (2 * mi)
-        return alg.apply_rule(hfun, g.formalism) * (minus_i * Fraction(g.t))
-    raise ValueError(f"no exponent for kind {g.kind!r}")
+        return alg.apply_rule(gfun, g.formalism) * (I * Fraction(g.v))
+    hfun = obs("p") * obs("p") / (2 * mi)     # free_time
+    return alg.apply_rule(hfun, g.formalism) * (-I * Fraction(g.t))
 
 
 def predicted_weyl_phase(g1: GroupElement, g2: GroupElement) -> complex:

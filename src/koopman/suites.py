@@ -22,8 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import ccr
-from .ccr import Algebra, NCPoly, Relation
-from .exactpoly import CPoly, I
+from .ccr import NCPoly, Relation
+from .exactpoly import I, pair_potential
 
 
 def _eps(i: int, j: int, k: int) -> int:
@@ -134,20 +134,10 @@ def kvh_star_pair_suite() -> list:
 # interacting two-particle system (projective formalism)
 # ---------------------------------------------------------------------------
 
-def pair_potential(alg: Algebra, pairs) -> CPoly:
-    """V = kappa/2 sum (a - b)^2 over the coordinate-name pairs (a, b)."""
-    kap = alg.observable("kappa")
-    V = CPoly.constant(alg.observable_symbols, 0)
-    for a, b in pairs:
-        d = alg.observable(a) - alg.observable(b)
-        V = V + kap * d * d / 2
-    return V
-
-
 def two_particle_suite() -> list:
     """Covariance conditions of the interacting two-particle system, d=1."""
     alg = ccr.two_classical()
-    V = pair_potential(alg, [("q1", "q2")])
+    V = pair_potential(alg.observable_symbols, [("q1", "q2")])
     L = ccr.time_translation(alg, "kvh", V)
     T = ccr.translation_generator(alg)
     G = ccr.boost_generator(alg, "kvh")
@@ -177,7 +167,8 @@ def two_particle_suite() -> list:
 def two_particle_rotation_suite() -> list:
     """Scalar pair potential commutes with the total rotations, d=3."""
     alg = ccr.two_classical(dim=3)
-    V = pair_potential(alg, [(f"q1_{i}", f"q2_{i}") for i in range(1, 4)])
+    V = pair_potential(alg.observable_symbols,
+                       [(f"q1_{i}", f"q2_{i}") for i in range(1, 4)])
     L = ccr.time_translation(alg, "kvh", V)
     return [
         Relation(f"two_particle_scalar_potential_[rot{i},time]=0",
@@ -215,7 +206,7 @@ def quantum_suite() -> list:
 
 def hybrid_suite() -> list:
     alg = ccr.hybrid_pair()
-    V = pair_potential(alg, [("q", "x")])
+    V = pair_potential(alg.observable_symbols, [("q", "x")])
     L = ccr.time_translation(alg, "hybrid", V)
     T = ccr.translation_generator(alg)          # lam_q + k
     P = ccr.momentum_observable(alg)            # p + k
@@ -279,10 +270,11 @@ def klein_suite() -> list:
 
     # two-particle projective Liouvillian -> hybrid generator
     alg2 = ccr.two_classical()
-    V12 = pair_potential(alg2, [("q1", "q2")])
+    V12 = pair_potential(alg2.observable_symbols, [("q1", "q2")])
     L2 = ccr.time_translation(alg2, "kvh", V12)
     halg = ccr.hybrid_pair()
-    Lh = ccr.time_translation(halg, "hybrid", pair_potential(halg, [("q", "x")]))
+    Lh = ccr.time_translation(halg, "hybrid",
+                              pair_potential(halg.observable_symbols, [("q", "x")]))
     rels.append(Relation(
         "klein_two_particle_liouvillian->hybrid",
         lhs=ccr.klein_quantize(L2, {2}), expected=Lh))
@@ -296,7 +288,8 @@ def klein_suite() -> list:
 
     # full quantization of both particles gives the two-body Hamiltonian
     qalg2 = alg2.quantized({1, 2})
-    H2 = ccr.time_translation(qalg2, "quantum", pair_potential(qalg2, [("x1", "x2")]))
+    H2 = ccr.time_translation(qalg2, "quantum",
+                              pair_potential(qalg2.observable_symbols, [("x1", "x2")]))
     rels.append(Relation(
         "klein_full_quantization->two_body_hamiltonian",
         lhs=ccr.klein_quantize(L2, {1, 2}), expected=H2))

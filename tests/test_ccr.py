@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -385,6 +387,32 @@ def test_jacobi_identity_property(data):
     jac = a.commutator(b).commutator(c) + b.commutator(c).commutator(a) \
         + c.commutator(a).commutator(b)
     assert jac.is_zero
+
+
+def test_float_scalars_are_exact_coefficients(monkeypatch):
+    assert ALG.one() == 1.0 and hash(ALG.one()) == hash(1) == hash(1.0)
+    assert ALG.zero() == 0.0 and hash(ALG.zero()) == hash(0)
+    assert ALG.one() != float("nan") and ALG.one() != float("inf")
+    calls = []
+    monkeypatch.setattr(ccr, "normal_order", lambda *args: calls.append(args))
+    assert Q * 2.5 == 2.5 * Q == Q * Fraction(5, 2)
+    assert not calls      # a scalar factor scales coefficients, no reordering
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_equal_operators_and_scalars_hash_alike_property(data):
+    alg = data.draw(layouts())
+    op = data.draw(ncpolys(alg))
+    f = data.draw(st.floats(-1e3, 1e3) | st.integers(-3, 3).map(float))
+    assert op * f == op * Fraction(f) == f * op
+    assert alg.one() * f == f
+    values = [op, alg.zero(), alg.one() * f, alg.one() * Fraction(f), alg.coeff(f),
+              f, Fraction(f), complex(f), int(f)]
+    for x in values:
+        for y in values:
+            if x == y:
+                assert hash(x) == hash(y), (x, y)
 
 
 _OBS = ALG.observable_symbols  # m, t, q, p

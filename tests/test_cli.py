@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from koopman import cli
 from koopman import evolve as ev
-from koopman import galilei as ga
 from koopman.grid import load_state
 
 TINY_EVOLVE = """
@@ -201,9 +200,15 @@ def test_config_errors(tmp_path, capsys):
         ("covariance", weyl, (("masses = 1.0", "masses ="),), "exactly one mass"),
         ("covariance", weyl, x_axis, "single-particle"),
         ("covariance", weyl_kvn, (("formalism = kvn", "formalism = hybrid"),),
-         "[transform] g1: unknown formalism 'hybrid'"),
-        ("covariance", weyl_kvn, (("g1_v = 1.3", "g1_v = inf"),),
-         "bad value for 'g1_v' in [transform]: 'inf' (must be finite)"),
+         "[transform]: unknown formalism 'hybrid'"),
+        ("covariance", weyl_kvn, (("sweep_v = 1.3", "sweep_v = inf"),),
+         "bad value for 'sweep_v' in [transform]: 'inf' (must be finite)"),
+        ("covariance", weyl_kvn, (("sweep_a = 0.7\n", ""),),
+         "missing key 'sweep_a' in section [transform]"),
+        ("covariance", weyl_kvn, (("sweep_a = 0.7", "sweep_a ="),),
+         "sweep_a needs at least one offset"),
+        ("covariance", weyl_kvn, (("kind = weyl", "kind = rotation"),),
+         "unknown transform kind 'rotation'"),
         ("covariance", weyl_kvn, zero_mass, "mass must be positive and finite"),
         ("covariance", "scenarios/covariance_kvh.cfg", zero_mass,
          "mass must be positive and finite"),
@@ -243,6 +248,29 @@ def test_config_errors(tmp_path, capsys):
          "unknown key 'mask_threshold' in section [oracle]"),
         ("covariance", "scenarios/covariance_kvh.cfg", (("sweep_v =", "v = 1.0\nsweep_v ="),),
          "unknown key 'v' in section [transform]"),
+        ("covariance", weyl_kvn, (("kind = weyl", "kind = weyl\ng1 = boost"),),
+         "unknown key 'g1' in section [transform]"),
+        ("covariance", weyl_kvn, (("kind = weyl", "kind = weyl\ng1_v = 1.3"),),
+         "unknown key 'g1_v' in section [transform]"),
+        # known keys that the run kind never reads
+        ("covariance", "scenarios/covariance_kvh.cfg",
+         (("t_final = 0.5", "potential = harmonic\nkappa = 5.0\ndt = 0.37\nt_final = 0.5"),),
+         "key 'potential' in section [dynamics] is not read by covariance runs"),
+        ("covariance", weyl, (("masses = 1.0", "masses = 1.0\nt_final = -3.0"),),
+         "key 't_final' in section [dynamics] is not read by weyl runs"),
+        ("evolve", "scenarios/free_kvh.cfg",
+         (("dump_state = true", "dump_state = true\n\n[oracle]\ninterp = cubic\n\n"
+           "[transform]\nkind = weyl"),),
+         "key 'interp' in section [oracle] is not read by evolve runs"),
+        ("evolve", "scenarios/free_kvh.cfg", (("[checks]", "[transform]\n\n[checks]"),),
+         "section [transform] is not read by evolve runs"),
+        ("oracle", oracle_cfg, (("t_final = 0.5", "t_final = 0.5\nsample_every = 2"),),
+         "key 'sample_every' in section [dynamics] is not read by oracle runs"),
+        ("oracle", oracle_cfg, (("dir = ", "dump_state = true\ndir = "),),
+         "key 'dump_state' in section [output] is not read by oracle runs"),
+        ("covariance", "scenarios/covariance_kvh.cfg",
+         (("sweep_v =", "sweep_a = 0.5\nsweep_v ="),),
+         "key 'sweep_a' in section [transform] is not read by covariance runs"),
     ]
     # every float, scalar or list entry, must be finite: none of these may
     # run, round to zero steps or end in a numerical abort
@@ -285,7 +313,7 @@ SCENARIOS = sorted((Path(__file__).parents[1] / "scenarios").glob("*.cfg"))
 
 def _build(path):
     """Parse and build a scenario the way the subcommands do before a run."""
-    sc = cli.parse_scenario(path)
+    sc = cli._load_scenario(path, cli.parse_scenario(path).kind)
     grid = cli.build_grid(sc)
     cli.build_initial(sc, grid)
     if sc.kind in ("evolve", "oracle"):
@@ -355,17 +383,23 @@ def test_list_edits_fail_only_as_scenario_errors(tmp_path_factory, text):
         pass
 
 
-def test_element_ignores_fields_its_kind_does_not_use(tmp_path):
-    # a translation whose section also sets g1_v and g1_t must not move by v t
-    cfg = tmp_path / "weyl.cfg"
-    cfg.write_text(open("scenarios/weyl_kvn.cfg").read()
-                   .replace("g1 = boost", "g1 = translation\ng1_a = 0.4")
-                   .replace("g1_t = 0.0", "g1_t = 0.7"))
-    sc = cli.parse_scenario(cfg)
-    assert (sc.get("transform", "g1_v"), sc.get("transform", "g1_t")) == (1.3, 0.7)
-    expect = ga.translation(0.4, "kvn", 1.0)
-    assert cli._element(sc, "g1", "kvn", 1.0) == expect
-    assert cli._element(sc, "g1", "kvn", 1.0, v=1.5) == expect
+def test_every_scenario_key_has_a_shipped_caller():
+    # every settable key is set by a shipped scenario, and every shipped
+    # scenario sets only what its run reads
+    set_keys = set()
+    for path in SCENARIOS:
+        sc = cli._load_scenario(path, cli.parse_scenario(path).kind)
+        for sec, values in sc.sections.items():
+            if sec == "axis":
+                set_keys |= {("axis", k) for axis in values.values() for k in axis}
+            else:
+                set_keys |= {(sec, k) for k in values}
+    keys = {(sec, k) for sec, schema in cli._SCHEMA.items() for k in schema}
+    keys |= {("axis", k) for k in cli._AXIS_KEYS}
+    # alpha sets the quartic potential, which only tests use: it is what
+    # checks the oracle and the kick away from linear forces
+    assert keys - set_keys == {("dynamics", "alpha")}
+    assert len(keys) == 25
 
 
 def test_numerical_abort_exit_code(tiny_cfg, monkeypatch, tmp_path):

@@ -45,7 +45,6 @@ def test_acts_are_unitary_and_invertible():
     # same evaluation time, so the kvh boost phase must undo itself
     for g, inverse in (
             (ga.translation(0.37, "kvh"), ga.translation(-0.37, "kvh")),
-            (ga.momentum_translation(-0.83, "kvh"), ga.momentum_translation(0.83, "kvh")),
             (ga.boost(0.9, 0.7, "kvh", 1.3), ga.boost(-0.9, 0.7, "kvh", 1.3)),
             (ga.free_time(0.45, "kvh", 0.8), ga.free_time(-0.45, "kvh", 0.8))):
         out = ga.act(g, W)
@@ -56,9 +55,8 @@ def test_acts_are_unitary_and_invertible():
 
 @settings(max_examples=40, deadline=None)
 @given(formalism=st.sampled_from(["kvn", "kvh"]), m=st.floats(0.5, 2.0),
-       a=st.floats(-0.8, 0.8), b=st.floats(-1.5, 1.5),
-       v=st.floats(-0.75, 0.75), t=st.floats(-1.0, 1.0))
-def test_acts_match_closed_form_at_shifted_points(formalism, m, a, b, v, t):
+       a=st.floats(-0.8, 0.8), v=st.floats(-0.75, 0.75), t=st.floats(-1.0, 1.0))
+def test_acts_match_closed_form_at_shifted_points(formalism, m, a, v, t):
     # shifts of at most 0.8 in q and 1.5 in p keep the tail of W that
     # wraps round the periodic grid below 1e-10 (3e-11 at the corners)
     q, p = GRID.coordinate("q"), GRID.coordinate("p")
@@ -68,7 +66,6 @@ def test_acts_match_closed_form_at_shifted_points(formalism, m, a, b, v, t):
     if formalism == "kvh":
         boosted = boosted * np.exp(1j * (m * q * v - m * t * v ** 2 / 2))
     for g, expect in ((ga.translation(a, formalism, m), at(a, 0.0)),
-                      (ga.momentum_translation(b, formalism, m), at(0.0, b)),
                       (ga.boost(v, t, formalism, m), boosted)):
         assert np.max(np.abs(ga.act(g, W).values - expect)) <= 1e-10
 
@@ -88,13 +85,15 @@ def test_group_element_validation():
         with pytest.raises(ValueError, match="mass must be positive and finite"):
             ga.boost(0.5, 0.0, "kvh", mass)
     # a nonzero field its kind does not read is rejected, not carried into act
-    for kind, unread in (("translation", "bvt"), ("momentum_translation", "avt"),
-                         ("boost", "ab"), ("free_time", "abv")):
+    for kind, unread in (("translation", "vt"), ("boost", "a"), ("free_time", "av")):
         for name in unread:
             with pytest.raises(ValueError, match=f"a {kind} does not read {name}"):
                 ga.GroupElement(kind, "kvh", 1.0, **{name: 0.3})
-    with pytest.raises(ValueError, match="does not read b, v, t"):
-        ga.GroupElement("translation", "kvh", 1.0, a=0.5, b=0.2, v=0.3, t=1.0)
+    with pytest.raises(ValueError, match="does not read v, t"):
+        ga.GroupElement("translation", "kvh", 1.0, a=0.5, v=0.3, t=1.0)
+    # the momentum translation is not a Galilei element and is gone
+    with pytest.raises(ValueError, match="kind"):
+        ga.GroupElement("momentum_translation", "kvh")
 
 
 def test_weyl_phase_plain_representation_commutes():
@@ -112,13 +111,6 @@ def test_weyl_phase_projective_is_mass_times_area():
     assert np.angle(ph) == pytest.approx(0.91, abs=1e-10)
     pred = ga.predicted_weyl_phase(g1, g2)
     assert abs(np.angle(ph * np.conj(pred))) <= 1e-6
-
-
-def test_weyl_phase_translations_commute_in_both():
-    for f in ("kvn", "kvh"):
-        ph, res = ga.weyl_phase(ga.translation(0.7, f),
-                                ga.momentum_translation(0.5, f), W)
-        assert abs(ph - 1.0) <= 1e-8 and res <= 1e-8
 
 
 def test_weyl_phase_product_identity():
