@@ -357,8 +357,27 @@ class NCPoly:
     __rmul__ = __mul__      # only scalars reach it, and they are central
 
     def commutator(self, other: "NCPoly") -> "NCPoly":
+        """[self, other], summed over the word pairs that do not commute.
+
+        Two words commute when no letter of one is the conjugate of a
+        letter of the other; coefficients are central, so such a pair
+        adds c*(w1 w2 - w2 w1) = 0 exactly and is skipped.  Every other
+        pair is normal-ordered both ways with one product coefficient.
+        """
         other = self._coerce(other)
-        return self * other - other * self
+        alg = self.algebra
+        conjugate = alg.conjugate
+
+        def parts():
+            for w1, c1 in self.terms.items():
+                partners = {conjugate[g] for g in w1}
+                for w2, c2 in other.terms.items():
+                    if partners.isdisjoint(w2):
+                        continue
+                    c = c1 * c2
+                    yield normal_order(alg, w1 + w2, c)
+                    yield normal_order(alg, w2 + w1, -c)
+        return _sum(alg, parts())
 
     def adjoint(self) -> "NCPoly":
         """Reverse words, conjugate coefficients, re-normal-order.

@@ -229,17 +229,20 @@ def read_t_final(sc: Scenario, dt: float | None = None) -> float:
 
 
 def write_manifest(sc: Scenario, out_dir: Path) -> None:
-    """Echo of the resolved configuration, sufficient to reproduce the run."""
+    """Echo of the resolved configuration, sufficient to reproduce the run;
+    [output] dir is the directory the run wrote, whatever gave it."""
+    sections = {**sc.sections,
+                "output": {**sc.sections.get("output", {}), "dir": str(out_dir)}}
     lines = [f"# koopman {__version__}", f"# scenario {sc.path.name}"]
-    for sec in sorted(sc.sections):
+    for sec in sorted(sections):
         if sec == "axis":
-            for name in sc.sections["axis"]:
+            for name in sections["axis"]:
                 lines.append(f"[axis.{name}]")
-                for k, v in sorted(sc.sections["axis"][name].items()):
+                for k, v in sorted(sections["axis"][name].items()):
                     lines.append(f"{k} = {v}")
             continue
         lines.append(f"[{sec}]")
-        for k, v in sorted(sc.sections[sec].items()):
+        for k, v in sorted(sections[sec].items()):
             if isinstance(v, tuple):
                 v = ", ".join(str(x) for x in v)
             lines.append(f"{k} = {v}")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koopman import ccr
+from koopman import ccr, suites
 from koopman.ccr import GeneratorId, ParticleSpec, klein_quantize, normal_order
 from koopman.exactpoly import CPoly, GaussianRational, I
 
@@ -433,3 +433,51 @@ def test_rules_are_lie_homomorphisms_property(rule, f, g):
     # [R(f), R(g)] = i R({f, g}) with {f, g} = f_q g_p - f_p g_q
     lhs = ALG.apply_rule(f, rule).commutator(ALG.apply_rule(g, rule))
     assert lhs == ALG.apply_rule(_poisson(f, g), rule) * I
+
+
+_STANDARD = (ccr.single_classical(1), ccr.single_classical(2), ccr.single_classical(3),
+             ccr.two_classical(), ccr.hybrid_pair(), ccr.single_quantum())
+
+
+@st.composite
+def central_coeffs(draw, alg):
+    """A polynomial in the layout's masses, t and constants."""
+    expo = st.tuples(*[st.integers(0, 2)] * len(alg.central_symbols))
+    return CPoly(alg.central_symbols,
+                 draw(st.dictionaries(expo, _small, min_size=1, max_size=3)))
+
+
+@st.composite
+def symbolic_ncpolys(draw, alg):
+    return sum((alg.from_word(draw(words(alg, max_size=3)), draw(central_coeffs(alg)))
+                for _ in range(draw(st.integers(1, 4)))), alg.zero())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_commutator_skips_only_commuting_pairs_property(data):
+    alg = data.draw(st.sampled_from(_STANDARD))
+    a, b = (data.draw(symbolic_ncpolys(alg)) for _ in range(2))
+    assert a.commutator(b) == a * b - b * a
+    assert a.commutator(b) == -b.commutator(a)
+    s = data.draw(central_coeffs(alg))
+    for scalar in (s, alg.one() * s, 2, Fraction(-1, 3), 0.5, 1j):
+        assert a.commutator(scalar).is_zero
+    assert (alg.one() * s).commutator(a).is_zero
+
+
+def test_algebra_pass_normal_orders_only_non_commuting_pairs(monkeypatch):
+    groups = suites.suite_group("all")
+    calls = []
+    order = ccr.normal_order
+    monkeypatch.setattr(ccr, "normal_order", lambda *args: calls.append(args) or order(*args))
+    for _, relations in groups:
+        ccr.verify_algebra(relations)
+    # the product-difference form made 3,382 calls; the layer metric
+    # ccr.normal_order_calls_per_pass counts calls through this global
+    assert 0 < len(calls) < 3382
+    alg = ccr.two_classical()
+    q1, lam_q2 = alg.op("q1"), alg.op("lam_q2")
+    calls.clear()
+    assert q1.commutator(lam_q2).is_zero
+    assert not calls

@@ -461,3 +461,21 @@ def test_free_scenario_phase_check(tmp_path):
     assert lines[0] == "t,masked_linf,modulus_masked_linf,phase_masked_maxabs"
     cells = lines[-1].split(",")
     assert float(cells[3]) <= 1e-6
+
+
+@pytest.mark.parametrize("text", [None, TINY_EVOLVE,
+                                  TINY_EVOLVE.replace("[output]\ndump_state = true\n", "")],
+                         ids=["weyl_kvn", "no_dir", "no_output_section"])
+def test_manifest_records_the_directory_the_run_wrote(tmp_path, text):
+    # --out overrides [output] dir, and a scenario may set no dir or no
+    # [output] at all; the manifest parses back to the scenario with the
+    # directory the run wrote
+    source = Path("scenarios/weyl_kvn.cfg")
+    if text is not None:
+        source = tmp_path / "tiny.cfg"
+        source.write_text(text)
+    sc = cli.parse_scenario(source)
+    out = tmp_path / "elsewhere"
+    assert cli.main([sc.kind, str(source), "--out", str(out)]) == cli.EXIT_OK
+    sc.sections["output"] = {**sc.sections.get("output", {}), "dir": str(out)}
+    assert cli.parse_scenario(out / "manifest.cfg").sections == sc.sections
