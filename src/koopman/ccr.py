@@ -12,11 +12,16 @@ order, with the multiplication generators to the left of the derivative
 generators, and structural equality of normal forms is operator equality.
 
 On top of the normal-ordered arithmetic this module provides the two
-assignment rules that turn phase-space functions into Hermitian operators
-(the Poisson-bracket rule and its variant with the added scalar
-f - p.df/dp), the Galilei generator sets built from them, the partial
-canonical quantization that turns classical particles into quantum ones,
-and an exact relation checker used by the verification suites.
+assignment rules that turn phase-space functions f(q, p, x, k) into
+Hermitian operators: the Poisson-bracket rule -i{., f}, and the
+projective rule that adds the scalar f - p.df/dp, which on quantum
+coordinates is multiplication by f(x, k).  Each Galilei generator is one
+rule applied to one function (the total momentum, sum m*pos - t*mom,
+sum eps*pos_j*mom_k, sum mom^2/2m + V): kvn takes the Poisson rule, and
+kvh, hybrid and quantum the projective one.  The module also holds the
+partial canonical quantization that turns classical particles into
+quantum ones, and an exact relation checker used by the verification
+suites.
 """
 
 from __future__ import annotations
@@ -43,6 +48,16 @@ _KINDS = (
     ("quantum", "mom", "k"),
 )
 _BASE_NAMES = {(sector, kind): base for sector, kind, base in _KINDS}
+
+
+# the sectors of the layouts each formalism's rule applies to, and how
+# the error message names them
+_LAYOUTS = {
+    "kvn": ({"classical"}, "an all-classical"),
+    "kvh": ({"classical"}, "an all-classical"),
+    "hybrid": ({"classical", "quantum"}, "a mixed"),
+    "quantum": ({"quantum"}, "an all-quantum"),
+}
 
 
 class GeneratorId(namedtuple("GeneratorId", "sector kind particle axis")):
@@ -104,10 +119,12 @@ class Algebra:
         self.conjugate = dict(zip(gens, gens[half:] + gens[:half]))
         self._names = {g: self._make_name(g) for g in gens}
         self._by_name = {v: k for k, v in self._names.items()}
-        self.mult_symbols = tuple(self._names[g] for g in gens[:half])
-        # symbol set for phase-space observables f(q, p[, x]); central
-        # parameters first so monomials render as e.g. m*q, kappa*q^2
-        self.observable_symbols = self.central_symbols + self.mult_symbols
+        # the phase-space coordinates q, p, x, k, and the symbol set for
+        # observables f(q, p, x, k): central parameters first so monomials
+        # render as e.g. m*q, kappa*q^2
+        self._coordinates = tuple(g for g in gens if g.kind in ("pos", "mom"))
+        self.observable_symbols = self.central_symbols + tuple(
+            self._names[g] for g in self._coordinates)
 
     # -- naming ----------------------------------------------------------
 
@@ -176,18 +193,13 @@ class Algebra:
         if f.symbols != self.observable_symbols:
             raise SymbolMismatch("observable over wrong symbol set")
         ncentral = len(self.central_symbols)
-        coord_gids = [self.generator(s) for s in self.mult_symbols]
         for expo, coeff in f.terms.items():
             word = []
-            for gid, e in zip(coord_gids, expo[ncentral:]):
+            for gid, e in zip(self._coordinates, expo[ncentral:]):
                 if e < 0:
                     raise ValueError("negative power of a coordinate symbol")
                 word.extend([gid] * e)
-            central = CPoly(
-                self.central_symbols,
-                {tuple(expo[:ncentral]): coeff},
-            )
-            yield tuple(word), central
+            yield tuple(word), CPoly(self.central_symbols, {expo[:ncentral]: coeff})
 
     def mult_operator(self, f: CPoly) -> "NCPoly":
         """Multiplication by the phase-space function f."""
@@ -197,22 +209,18 @@ class Algebra:
     # -- assignment rules ------------------------------------------------------
 
     def _classical_pairs(self):
-        for n, p in enumerate(self.particles, start=1):
-            if p.sector != "classical":
-                continue
-            for axis in range(1, p.dim + 1):
-                yield (
-                    self._names[GeneratorId("classical", "pos", n, axis)],
-                    self._names[GeneratorId("classical", "mom", n, axis)],
-                    GeneratorId("classical", "lam_pos", n, axis),
-                    GeneratorId("classical", "lam_mom", n, axis),
-                )
+        """(q name, p name, lam_q, lam_p) of every classical particle and axis."""
+        for g in self.generators:
+            if g.sector == "classical" and g.kind == "pos":
+                p = g._replace(kind="mom")
+                yield self._names[g], self._names[p], self.conjugate[g], self.conjugate[p]
 
     def poisson_rule(self, f: CPoly) -> "NCPoly":
         """-i{., f}: the non-projective operator assignment.
 
-        Yields sum_a (df/dp_a) lam_q_a - (df/dq_a) lam_p_a with the
-        multiplication coefficients left of the derivative generators.
+        Yields sum_a (df/dp_a) lam_q_a - (df/dq_a) lam_p_a over the
+        classical pairs, with the multiplication coefficients left of the
+        derivative generators.
         """
         def parts():
             for qname, pname, lamq, lamp in self._classical_pairs():
@@ -223,18 +231,30 @@ class Algebra:
         return _sum(self, parts())
 
     def prequantum_rule(self, f: CPoly) -> "NCPoly":
-        """-i{., f} + f - sum_a p_a df/dp_a: the projective assignment."""
+        """-i{., f} + f - sum_a p_a df/dp_a: the projective assignment.
+
+        The sum runs over the classical pairs, so on quantum coordinates
+        this is multiplication by f(x, k), normal-ordered.
+        """
         scalar = f
         for _, pname, _, _ in self._classical_pairs():
             scalar = scalar - CPoly.variable(f.symbols, pname) * f.partial(pname)
         return self.poisson_rule(f) + self.mult_operator(scalar)
 
     def apply_rule(self, f: CPoly, formalism: str) -> "NCPoly":
-        if formalism == "kvn":
-            return self.poisson_rule(f)
-        if formalism == "kvh":
-            return self.prequantum_rule(f)
-        raise ValueError(f"unknown classical rule {formalism!r}")
+        """The operator of the phase-space function f(q, p, x, k).
+
+        kvn takes the Poisson rule; kvh, hybrid and quantum take the
+        projective rule.  Each Galilei generator that depends on the
+        formalism is this one call on one function, so this is where a
+        formalism must match the layout.
+        """
+        if formalism not in _LAYOUTS:
+            raise ValueError(f"unknown formalism {formalism!r}")
+        sectors, layout = _LAYOUTS[formalism]
+        if {p.sector for p in self.particles} != sectors:
+            raise ValueError(f"{formalism} needs {layout} layout")
+        return self.poisson_rule(f) if formalism == "kvn" else self.prequantum_rule(f)
 
     # -- partial quantization ----------------------------------------------------
 
@@ -473,140 +493,71 @@ _EPS3 = {
 }
 
 
-def _axis_names(algebra: Algebra, particle: int, base_kind: str):
-    p = algebra.particles[particle - 1]
-    return [
-        algebra.name(GeneratorId(p.sector, base_kind, particle, axis))
-        for axis in range(1, p.dim + 1)
-    ]
-
-
-def free_hamiltonian(algebra: Algebra) -> CPoly:
-    """sum_a p_a^2 / 2 m_a over classical particles, k-free (kinetic only)."""
-    H = CPoly.constant(algebra.observable_symbols, 0)
+def _phase_space(algebra: Algebra, axis: int):
+    """(mass, position, momentum) observables of each particle along one axis."""
+    obs = algebra.observable
     for n, p in enumerate(algebra.particles, start=1):
-        if p.sector != "classical":
-            continue
-        m = CPoly.variable(algebra.observable_symbols, p.mass)
-        for pname in _axis_names(algebra, n, "mom"):
-            pv = CPoly.variable(algebra.observable_symbols, pname)
-            H = H + pv * pv / (2 * m)
-    return H
+        yield (obs(p.mass), obs(algebra.name(GeneratorId(p.sector, "pos", n, axis))),
+               obs(algebra.name(GeneratorId(p.sector, "mom", n, axis))))
 
 
-def quantum_kinetic(algebra: Algebra) -> NCPoly:
-    """sum over quantum particles of k^2 / 2m as a normal-ordered operator."""
-    def parts():
-        for n, p in enumerate(algebra.particles, start=1):
-            if p.sector == "quantum":
-                minv = algebra.coeff(Fraction(1, 2)) / algebra.coeff_symbol(p.mass)
-                for axis in range(1, p.dim + 1):
-                    k = GeneratorId("quantum", "mom", n, axis)
-                    yield algebra.from_word((k, k), minv)
-    return _sum(algebra, parts())
+def _total(algebra: Algebra, parts: Iterable[CPoly]) -> CPoly:
+    return sum(parts, CPoly.constant(algebra.observable_symbols, 0))
+
+
+def _momentum(algebra: Algebra, axis: int) -> CPoly:
+    return _total(algebra, (mom for _, _, mom in _phase_space(algebra, axis)))
 
 
 def time_translation(algebra: Algebra, formalism: str, potential: CPoly | None = None) -> NCPoly:
-    """The evolution generator for the requested formalism.
+    """The formalism's rule applied to H = sum mom^2/2m + V.
 
-    kvn / kvh: the assignment rule applied to H = sum p^2/2m + V.
-    hybrid: the kvh rule over the classical sector plus the quantum
-    kinetic term; V may involve quantum positions (it enters both the
-    derivative-coupling and the multiplication part).
-    quantum: kinetic plus multiplication by V(x).
+    V may involve every position; in the hybrid it enters both the
+    derivative coupling and the multiplication part.
     """
-    H = free_hamiltonian(algebra)
-    if potential is not None:
-        H = H + potential
-    if formalism in ("kvn", "kvh"):
-        return algebra.apply_rule(H, formalism)
-    if formalism == "hybrid":
-        return algebra.prequantum_rule(H) + quantum_kinetic(algebra)
-    if formalism == "quantum":
-        out = quantum_kinetic(algebra)
-        if potential is not None:
-            out = out + algebra.mult_operator(potential)
-        return out
-    raise ValueError(f"unknown formalism {formalism!r}")
+    H = _total(algebra, (mom * mom / (2 * m)
+                         for axis in range(1, algebra.dim + 1)
+                         for m, _, mom in _phase_space(algebra, axis)))
+    return algebra.apply_rule(H if potential is None else H + potential, formalism)
 
 
 def translation_generator(algebra: Algebra, axis: int = 1) -> NCPoly:
-    """Total spatial translation: sum of lam_q (classical) and k (quantum),
-    the derivatives conjugate to the positions."""
-    return _sum(algebra, (
-        algebra.from_word((algebra.conjugate[GeneratorId(p.sector, "pos", n, axis)],))
-        for n, p in enumerate(algebra.particles, start=1)
-    ))
+    """Total spatial translation: the projective rule applied to the total
+    momentum, lam_q (classical) plus k (quantum).  The Poisson rule gives
+    the same lam_q, so one operator serves every formalism."""
+    return algebra.prequantum_rule(_momentum(algebra, axis))
 
 
 def momentum_observable(algebra: Algebra, axis: int = 1) -> NCPoly:
-    """Total momentum observable: sum of p (classical) and k (quantum)."""
-    return _sum(algebra, (
-        algebra.from_word((GeneratorId(p.sector, "mom", n, axis),))
-        for n, p in enumerate(algebra.particles, start=1)
-    ))
+    """Total momentum observable: multiplication by sum of p and k."""
+    return algebra.mult_operator(_momentum(algebra, axis))
 
 
 def boost_generator(algebra: Algebra, formalism: str, axis: int = 1) -> NCPoly:
-    """Total Galilei boost at symbolic time t.
-
-    Classical particles contribute the assignment rule applied to
-    m*q - t*p; quantum ones contribute m*x - t*k directly.
-    """
-    rule = "kvn" if formalism == "kvn" else "kvh"
-    tsym = algebra.coeff_symbol("t")
-
-    def parts():
-        for n, p in enumerate(algebra.particles, start=1):
-            if p.sector == "classical":
-                qname = algebra.name(GeneratorId("classical", "pos", n, axis))
-                pname = algebra.name(GeneratorId("classical", "mom", n, axis))
-                g = (
-                    algebra.observable(p.mass) * algebra.observable(qname)
-                    - algebra.observable("t") * algebra.observable(pname)
-                )
-                yield algebra.apply_rule(g, rule)
-            else:
-                x = GeneratorId("quantum", "pos", n, axis)
-                k = GeneratorId("quantum", "mom", n, axis)
-                yield algebra.from_word((x,), algebra.coeff_symbol(p.mass))
-                yield algebra.from_word((k,), -tsym)
-    return _sum(algebra, parts())
+    """Total Galilei boost at symbolic time t: the formalism's rule applied
+    to sum m*pos - t*mom."""
+    t = algebra.observable("t")
+    return algebra.apply_rule(_total(algebra, (
+        m * pos - t * mom for m, pos, mom in _phase_space(algebra, axis)
+    )), formalism)
 
 
 def rotation_generator(algebra: Algebra, formalism: str, axis: int = 3) -> NCPoly:
-    """Total rotation generator about one axis (dim >= 2 only).
-
-    For dim == 2 only the single in-plane generator (axis 3 pattern
-    restricted to axes 1, 2) exists.
-    """
+    """Total rotation about one axis: the formalism's rule applied to
+    sum eps pos_j mom_k.  Dim 2 has only the in-plane one, about axis 3."""
     if algebra.dim == 1:
         raise ValueError("rotations require spatial dimension >= 2")
     if algebra.dim == 2 and axis != 3:
         raise ValueError("dim 2 has a single rotation generator (axis=3)")
-    rule = "kvn" if formalism == "kvn" else "kvh"
     # (j, k, sign) with eps_{axis j k} = sign, inside the particles' plane
     planar = [(jj, kk, sign) for (i, jj, kk), sign in _EPS3.items()
               if i == axis and jj <= algebra.dim and kk <= algebra.dim]
-
-    def parts():
-        for n, p in enumerate(algebra.particles, start=1):
-            if p.sector == "classical":
-                qn = _axis_names(algebra, n, "pos")
-                pn = _axis_names(algebra, n, "mom")
-                j = CPoly.constant(algebra.observable_symbols, 0)
-                for jj, kk, sign in planar:
-                    j = j + sign * (
-                        CPoly.variable(algebra.observable_symbols, qn[jj - 1])
-                        * CPoly.variable(algebra.observable_symbols, pn[kk - 1])
-                    )
-                yield algebra.apply_rule(j, rule)
-            else:
-                for jj, kk, sign in planar:
-                    x = GeneratorId("quantum", "pos", n, jj)
-                    k = GeneratorId("quantum", "mom", n, kk)
-                    yield algebra.from_word((x, k), sign)
-    return _sum(algebra, parts())
+    return algebra.apply_rule(_total(algebra, (
+        sign * pos * mom
+        for jj, kk, sign in planar
+        for (_, pos, _), (_, _, mom) in zip(_phase_space(algebra, jj),
+                                            _phase_space(algebra, kk))
+    )), formalism)
 
 
 def galilei_generators(algebra: Algebra, formalism: str, potential: CPoly | None = None) -> dict:
@@ -615,21 +566,11 @@ def galilei_generators(algebra: Algebra, formalism: str, potential: CPoly | None
     Keys: translation[_i], boost[_i], rotation[_i] (dim >= 2),
     time_translation.  Errors if the formalism does not match the layout.
     """
-    sectors = {p.sector for p in algebra.particles}
-    if formalism in ("kvn", "kvh") and sectors != {"classical"}:
-        raise ValueError(f"{formalism} needs an all-classical layout")
-    if formalism == "quantum" and sectors != {"quantum"}:
-        raise ValueError("quantum needs an all-quantum layout")
-    if formalism == "hybrid" and sectors != {"classical", "quantum"}:
-        raise ValueError("hybrid needs a mixed layout")
-
-    def key(base, axis):
-        return base if algebra.dim == 1 else f"{base}_{axis}"
-
     gens = {}
     for axis in range(1, algebra.dim + 1):
-        gens[key("translation", axis)] = translation_generator(algebra, axis)
-        gens[key("boost", axis)] = boost_generator(algebra, formalism, axis)
+        suffix = "" if algebra.dim == 1 else f"_{axis}"
+        gens["translation" + suffix] = translation_generator(algebra, axis)
+        gens["boost" + suffix] = boost_generator(algebra, formalism, axis)
     if algebra.dim == 3:
         for axis in range(1, 4):
             gens[f"rotation_{axis}"] = rotation_generator(algebra, formalism, axis)

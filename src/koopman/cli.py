@@ -183,9 +183,10 @@ def _load_scenario(path, kind: str) -> Scenario:
 
 def build_grid(sc: Scenario) -> GridSpec:
     names = sc.require("grid", "axes")
+    specs = sc.sections.get("axis", {})
     axes = []
     for name in names:
-        spec = sc.sections.get("axis", {}).get(name)
+        spec = specs.get(name)
         if spec is None:
             raise ScenarioError(f"axis {name!r} listed but no [axis.{name}] section")
         for key in ("min", "extent", "points"):
@@ -194,7 +195,12 @@ def build_grid(sc: Scenario) -> GridSpec:
         with _config_errors(f"[axis.{name}]"):
             axes.append(Axis(name, spec["min"], spec["extent"], spec["points"]))
     with _config_errors("[grid]"):
-        return GridSpec(tuple(axes))
+        grid = GridSpec(tuple(axes))
+    unlisted = [name for name in specs if name not in names]
+    if unlisted:
+        raise ScenarioError(f"section [axis.{unlisted[0]}] is not read: "
+                            f"[grid] axes does not list {unlisted[0]!r}")
+    return grid
 
 
 def build_initial(sc: Scenario, grid: GridSpec) -> Wavefunction:

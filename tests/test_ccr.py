@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -190,15 +191,87 @@ def test_galilei_generator_layout_errors():
         ccr.galilei_generators(ALG, "hybrid")
     with pytest.raises(ValueError, match="all-quantum"):
         ccr.galilei_generators(ALG, "quantum")
+    # each builder reaches the layout check, so none returns a partial
+    # operator: kvh on a hybrid layout would drop k^2/2m2, on a quantum
+    # layout it would give 0, and kvn would mix Poisson and quantum parts
+    for build, message in (
+            (lambda: ccr.time_translation(ccr.hybrid_pair(), "kvh"),
+             "kvh needs an all-classical layout"),
+            (lambda: ccr.time_translation(ccr.single_quantum(), "kvh"),
+             "kvh needs an all-classical layout"),
+            (lambda: ccr.boost_generator(ccr.hybrid_pair(), "kvn"),
+             "kvn needs an all-classical layout"),
+            (lambda: ccr.rotation_generator(ccr.single_quantum(2), "hybrid"),
+             "hybrid needs a mixed layout"),
+            (lambda: ALG.apply_rule(ALG.observable("p"), "quantum"),
+             "quantum needs an all-quantum layout"),
+            (lambda: ccr.galilei_generators(ALG, "kvm"), "unknown formalism 'kvm'"),
+            (lambda: ccr.time_translation(ALG, "kvm"), "unknown formalism 'kvm'")):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
+
+# every standard layout with the formalisms that apply to it
+_LAYOUT_FORMALISMS = [(layout, formalism, dim)
+                      for layout, formalisms in (("single_classical", ("kvn", "kvh")),
+                                                 ("two_classical", ("kvn", "kvh")),
+                                                 ("single_quantum", ("quantum",)),
+                                                 ("hybrid_pair", ("hybrid",)))
+                      for formalism in formalisms for dim in (1, 2, 3)]
+
+
+@functools.cache
+def _galilei(layout, formalism, dim):
+    alg = getattr(ccr, layout)(dim)
+    return alg, ccr.galilei_generators(alg, formalism)
+
+
+@st.composite
+def pair_potentials(draw, alg):
+    """A real polynomial in kappa and the separation of the two particles
+    along one axis (translation invariant); a constant for one particle."""
+    coeffs = draw(st.lists(st.fractions(-3, 3, max_denominator=4), min_size=1, max_size=4))
+    if len(alg.particles) == 1:
+        return CPoly.constant(alg.observable_symbols, coeffs[0])
+    kappa = alg.observable("kappa")
+    axis = draw(st.integers(1, alg.dim))
+    first, second = (alg.observable(alg.name(GeneratorId(p.sector, "pos", n, axis)))
+                     for n, p in enumerate(alg.particles, start=1))
+    return sum((c * kappa * (first - second) ** n for n, c in enumerate(coeffs)),
+               CPoly.constant(alg.observable_symbols, 0))
+
+
+@pytest.mark.parametrize("layout, formalism, dim", _LAYOUT_FORMALISMS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_galilei_algebra_on_every_layout_property(layout, formalism, dim, data):
+    alg, gens = _galilei(layout, formalism, dim)
+    i, j = (data.draw(st.integers(1, dim)) for _ in range(2))
+    T, G = ({a: gens[base if dim == 1 else f"{base}_{a}"] for a in (i, j)}
+            for base in ("translation", "boost"))
+    # the central charge: total mass in every projective layout, 0 in kvn
+    mass = sum(alg.coeff_symbol(p.mass) for p in alg.particles)
+    central = formalism != "kvn" and i == j
+    assert G[j].commutator(T[i]) == (alg.one() * (mass * I) if central else alg.zero())
+    # boosts move the energy by the momentum, also with a pair potential,
+    # so the explicitly time-dependent boost is conserved: dG/dt = i[G, L]
+    L = ccr.time_translation(alg, formalism, data.draw(pair_potentials(alg)))
+    assert G[i].commutator(L) == T[i] * I
+    assert G[i].commutator(gens["time_translation"]) == T[i] * I
+    assert ccr.NCPoly(alg, {w: c.partial("t") for w, c in G[i].terms.items()}) == -T[i]
+    for op in (L, gens[data.draw(st.sampled_from(sorted(gens)))]):
+        assert op.adjoint() == op
 
 
 def test_generator_naming():
     h = ccr.hybrid_pair()
     assert {h.name(g) for g in h.generators} == {"q", "p", "lam_q", "lam_p", "x", "k"}
+    assert h.observable_symbols == ("m1", "m2", "t", "kappa", "q", "p", "x", "k")
     two = ccr.two_classical()
-    assert "q1" in two.mult_symbols and "q2" in two.mult_symbols
+    assert "q1" in two.observable_symbols and "q2" in two.observable_symbols
     d3 = ccr.single_classical(dim=3)
-    assert "q2" in d3.mult_symbols and "p3" in d3.mult_symbols
+    assert "q2" in d3.observable_symbols and "p3" in d3.observable_symbols
 
 
 def test_generator_id_value_semantics():

@@ -264,6 +264,9 @@ def test_config_errors(tmp_path, capsys):
          "key 'interp' in section [oracle] is not read by evolve runs"),
         ("evolve", "scenarios/free_kvh.cfg", (("[checks]", "[transform]\n\n[checks]"),),
          "section [transform] is not read by evolve runs"),
+        ("evolve", "scenarios/free_kvh.cfg",
+         (("[dynamics]", "[axis.q9]\nmin = -1.0\nextent = 2.0\npoints = 8\n\n[dynamics]"),),
+         "section [axis.q9] is not read: [grid] axes does not list 'q9'"),
         ("oracle", oracle_cfg, (("t_final = 0.5", "t_final = 0.5\nsample_every = 2"),),
          "key 'sample_every' in section [dynamics] is not read by oracle runs"),
         ("oracle", oracle_cfg, (("dir = ", "dump_state = true\ndir = "),),
