@@ -495,6 +495,9 @@ _EPS3 = {
 
 def _phase_space(algebra: Algebra, axis: int):
     """(mass, position, momentum) observables of each particle along one axis."""
+    if not 1 <= axis <= algebra.dim:
+        raise ValueError(f"axis {axis} outside 1..{algebra.dim}: "
+                         f"the layout has dimension {algebra.dim}")
     obs = algebra.observable
     for n, p in enumerate(algebra.particles, start=1):
         yield (obs(p.mass), obs(algebra.name(GeneratorId(p.sector, "pos", n, axis))),
@@ -547,6 +550,9 @@ def rotation_generator(algebra: Algebra, formalism: str, axis: int = 3) -> NCPol
     sum eps pos_j mom_k.  Dim 2 has only the in-plane one, about axis 3."""
     if algebra.dim == 1:
         raise ValueError("rotations require spatial dimension >= 2")
+    if axis not in (1, 2, 3):
+        raise ValueError(f"rotation axis {axis} outside 1..3: "
+                         f"the layout has dimension {algebra.dim}")
     if algebra.dim == 2 and axis != 3:
         raise ValueError("dim 2 has a single rotation generator (axis=3)")
     # (j, k, sign) with eps_{axis j k} = sign, inside the particles' plane

@@ -3,9 +3,9 @@
 Subcommands:
 
   check-algebra   run the exact symbolic verification suites
-  evolve CFG      propagate a scenario, emit observables CSV and dumps
+  evolve CFG      propagate a scenario, emit observables CSV and dumps, and
+                  with [oracle] its error against the characteristics reference
   covariance CFG  Weyl-phase and boost-covariance experiments
-  oracle CFG      spectral run versus the characteristics reference
 
 Scenarios are strict INI files (unknown sections or keys, and those the
 run kind never reads, are errors, exit code 2).  Exit codes: 0 success,
@@ -84,18 +84,15 @@ _SCHEMA = {
     "initial": {"centers": _floats, "widths": _floats, "phase": str},
     "transform": {"kind": str, "sweep_a": _floats, "sweep_v": _floats},
     "oracle": {"flow_steps": int, "interp": str},   # reference_solution's keywords
-    "checks": {"closed_form": lambda s: s.lower() in ("1", "true", "yes")},
     "output": {"dir": str, "dump_state": lambda s: s.lower() in ("1", "true", "yes")},
 }
 _AXIS_KEYS = {"min": _float, "extent": _float, "points": int}
 
 # the keys each run reads beside [run], [grid], the axes and [initial]; a
 # covariance scenario runs as its [transform] kind
-_DYNAMICS = " ".join(_SCHEMA["dynamics"])
 _READS = {
-    "evolve": {"dynamics": _DYNAMICS, "checks": "closed_form", "output": "dir dump_state"},
-    "oracle": {"dynamics": _DYNAMICS.replace("sample_every", ""),
-               "oracle": "flow_steps interp", "output": "dir"},
+    "evolve": {"dynamics": " ".join(_SCHEMA["dynamics"]), "oracle": "flow_steps interp",
+               "output": "dir dump_state"},
     "weyl": {"dynamics": "formalism masses", "transform": "kind sweep_a sweep_v",
              "output": "dir"},
     "covariance": {"dynamics": "formalism masses t_final", "transform": "kind sweep_v",
@@ -155,7 +152,7 @@ def parse_scenario(path) -> Scenario:
     if "run" not in sections or "kind" not in sections["run"]:
         raise ScenarioError("missing [run] kind")
     kind = sections["run"]["kind"]
-    if kind not in ("evolve", "covariance", "oracle"):
+    if kind not in ("evolve", "covariance"):
         raise ScenarioError(f"unknown run kind {kind!r}")
     return Scenario(path, kind, sections)
 
@@ -285,17 +282,6 @@ def cmd_check_algebra(args) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFY
 
 
-def _free_closed_form_check(plan, w0, t, w, out_dir):
-    """The final state against the exact free-particle solution."""
-    ref, valid = chars.reference_solution(
-        w0, plan.masses, plan.potential, t, plan.formalism, flow_steps=8)
-    m = chars.compare(w, ref, valid_mask=valid)
-    row = (t, m.masked_linf, m.modulus_masked_linf, m.phase_masked_maxabs)
-    with open(out_dir / "phase_check.csv", "w", newline="") as fh:
-        fh.write("t,masked_linf,modulus_masked_linf,phase_masked_maxabs\n")
-        fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
 def cmd_evolve(args) -> int:
     sc = _load_scenario(args.scenario, "evolve")
     grid = build_grid(sc)
@@ -305,20 +291,29 @@ def cmd_evolve(args) -> int:
     sample_every = sc.get("dynamics", "sample_every", 1)
     if sample_every < 1:
         raise ScenarioError("[dynamics]: sample_every must be >= 1")
-    do_check = sc.get("checks", "closed_form", False)
-    if do_check and plan.potential.cpoly is not None:
-        raise ScenarioError("[checks] closed_form applies to free scenarios")
+    ref = None
+    if "oracle" in sc.sections:
+        with _config_errors("[oracle]"):    # before the run, so bad settings fail fast
+            ref, valid = chars.reference_solution(
+                w0, plan.masses, plan.potential, t_final, plan.formalism,
+                **sc.sections["oracle"])
     out_dir = Path(args.out or sc.get("output", "dir", "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
     record, w = ev.run(w0, plan, t_final, sample_every)
     record.to_csv(out_dir / "run.csv")
-    if do_check:
-        _free_closed_form_check(plan, w0, t_final, w, out_dir)
     if sc.get("output", "dump_state", False):
         dump_state(w, out_dir / "final.kvhw")
     write_manifest(sc, out_dir)
     sys.stdout.write(f"evolve: {len(record.rows)} samples -> {out_dir}\n")
+    if ref is not None:
+        metrics = chars.compare(w, ref, valid_mask=valid)
+        with open(out_dir / "oracle.csv", "w", newline="") as fh:
+            fh.write(",".join(["t"] + [f.name for f in fields(metrics)]) + "\n")
+            fh.write(",".join(_fmt(v) for v in (t_final,) + astuple(metrics)) + "\n")
+        sys.stdout.write(
+            f"oracle: l2={metrics.l2:.3e} masked_linf={metrics.masked_linf:.3e} "
+            f"phase={metrics.phase_masked_maxabs:.3e} -> {out_dir}\n")
     return EXIT_OK
 
 
@@ -378,30 +373,6 @@ def cmd_covariance(args) -> int:
     return EXIT_OK if worst <= 1e-6 else EXIT_VERIFY
 
 
-def cmd_oracle(args) -> int:
-    sc = _load_scenario(args.scenario, "oracle")
-    grid = build_grid(sc)
-    plan = build_plan_from(sc, grid)
-    w0 = build_initial(sc, grid)
-    t_final = read_t_final(sc, plan.dt)
-    with _config_errors("[oracle]"):    # before the run, so bad settings fail fast
-        ref, valid = chars.reference_solution(
-            w0, plan.masses, plan.potential, t_final, plan.formalism,
-            **sc.sections.get("oracle", {}))
-    out_dir = Path(args.out or sc.get("output", "dir", "out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    record, w = ev.run(w0, plan, t_final, max(1, int(round(t_final / plan.dt))))
-    metrics = chars.compare(w, ref, valid_mask=valid)
-    with open(out_dir / "oracle.csv", "w", newline="") as fh:
-        fh.write(",".join(["t"] + [f.name for f in fields(metrics)]) + "\n")
-        fh.write(",".join(_fmt(v) for v in (t_final,) + astuple(metrics)) + "\n")
-    write_manifest(sc, out_dir)
-    sys.stdout.write(
-        f"oracle: l2={metrics.l2:.3e} masked_linf={metrics.masked_linf:.3e} "
-        f"phase={metrics.phase_masked_maxabs:.3e} -> {out_dir}\n")
-    return EXIT_OK
-
-
 def main(argv=None) -> int:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--threads", type=int, default=1,
@@ -420,8 +391,7 @@ def main(argv=None) -> int:
                    default="all")
     p.set_defaults(func=cmd_check_algebra)
 
-    for name, func in (("evolve", cmd_evolve), ("covariance", cmd_covariance),
-                       ("oracle", cmd_oracle)):
+    for name, func in (("evolve", cmd_evolve), ("covariance", cmd_covariance)):
         p = sub.add_parser(name, parents=[shared])
         p.add_argument("scenario", help="scenario .cfg file")
         p.set_defaults(func=func)

@@ -189,11 +189,14 @@ def build_plan(grid: GridSpec, formalism: str, masses: Sequence[float],
                interaction: str = "full") -> PropagatorPlan:
     """``interaction = "potential_only"`` drops the kick from B, leaving
     the multiplication by exp(-i dt V): the negative control of the
-    hybrid momentum exchange."""
+    hybrid momentum exchange.  kvn has no such factor, so it refuses the
+    mode."""
     if formalism not in ("kvn", "kvh", "hybrid"):
         raise ValueError(f"unknown formalism {formalism!r}")
     if interaction not in ("full", "potential_only"):
         raise ValueError(f"unknown interaction mode {interaction!r}")
+    if interaction == "potential_only" and formalism == "kvn":
+        raise ValueError("kvn has no potential phase: potential_only would run free")
     qn, pn, xn = grid.names("q"), grid.names("p"), grid.names("x")
     if len(qn) != len(pn):
         raise ValueError("need matching q and p axes")

@@ -193,9 +193,7 @@ def gaussian_init(
     """Normalized Gaussian product state.
 
     The amplitude along each axis falls as exp(-(z-c)^2 / (2 w^2)).
-    phase: "none" keeps the state real (the natural choice for
-    non-projective runs); "action" seeds the phase with sum q_a p_a over the (q, p) axis pairs,
-    which matches first-moment phase gradients to the momenta.
+    phase: "none", the one option, keeps the state real.
     """
     centers = tuple(float(c) for c in centers)
     widths = tuple(float(s) for s in widths)
@@ -217,15 +215,6 @@ def gaussian_init(
     def phase_field(points: Mapping[str, np.ndarray]):
         if phase == "none":
             return 0.0
-        if phase == "action":
-            qnames = grid.names("q")
-            pnames = grid.names("p")
-            if len(qnames) != len(pnames):
-                raise ValueError("action phase needs paired q and p axes")
-            s = 0.0
-            for qn, pn in zip(qnames, pnames):
-                s = s + points[qn] * points[pn]
-            return s
         raise ValueError(f"unknown phase option {phase!r}")
 
     bindings = grid.coordinate_bindings()

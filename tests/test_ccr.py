@@ -206,7 +206,19 @@ def test_galilei_generator_layout_errors():
             (lambda: ALG.apply_rule(ALG.observable("p"), "quantum"),
              "quantum needs an all-quantum layout"),
             (lambda: ccr.galilei_generators(ALG, "kvm"), "unknown formalism 'kvm'"),
-            (lambda: ccr.time_translation(ALG, "kvm"), "unknown formalism 'kvm'")):
+            (lambda: ccr.time_translation(ALG, "kvm"), "unknown formalism 'kvm'"),
+            # an axis outside the layout names the layout's dimension
+            # instead of giving the zero operator or a bare KeyError
+            (lambda: ccr.rotation_generator(ccr.single_classical(3), "kvn", 4),
+             "rotation axis 4 outside 1..3: the layout has dimension 3"),
+            (lambda: ccr.rotation_generator(ccr.single_classical(2), "kvh", 0),
+             "rotation axis 0 outside 1..3: the layout has dimension 2"),
+            (lambda: ccr.translation_generator(ccr.single_classical(1), 2),
+             "axis 2 outside 1..1: the layout has dimension 1"),
+            (lambda: ccr.boost_generator(ccr.hybrid_pair(2), "hybrid", 3),
+             "axis 3 outside 1..2: the layout has dimension 2"),
+            (lambda: ccr.momentum_observable(ccr.single_quantum(3), 0),
+             "axis 0 outside 1..3: the layout has dimension 3")):
         with pytest.raises(ValueError) as err:
             build()
         assert str(err.value) == message

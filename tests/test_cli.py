@@ -130,8 +130,9 @@ def test_config_errors(tmp_path, capsys):
     assert cli.main(["evolve", str(nosec)]) == cli.EXIT_CONFIG
 
     wrong_kind = tmp_path / "wrong.cfg"
-    wrong_kind.write_text(TINY_EVOLVE.replace("kind = evolve", "kind = oracle"))
-    assert cli.main(["evolve", str(wrong_kind)]) == cli.EXIT_CONFIG
+    wrong_kind.write_text(TINY_EVOLVE)
+    assert cli.main(["covariance", str(wrong_kind)]) == cli.EXIT_CONFIG
+    assert "scenario kind 'evolve', expected 'covariance'" in capsys.readouterr().err
 
     badval = tmp_path / "badval.cfg"
     badval.write_text(TINY_EVOLVE.replace("dt = 0.01", "dt = soon"))
@@ -179,9 +180,9 @@ def test_config_errors(tmp_path, capsys):
     one_line_error(["evolve", str(offgrid), "--out", str(tmp_path / "e")],
                    "integer multiple of dt")
     oracle = tmp_path / "oracle.cfg"
-    oracle.write_text(open("scenarios/oracle_free_kvh.cfg").read()
+    oracle.write_text(open("scenarios/free_kvh.cfg").read()
                       .replace("t_final = 0.5", "t_final = 0.52"))
-    one_line_error(["oracle", str(oracle), "--out", str(tmp_path / "o")],
+    one_line_error(["evolve", str(oracle), "--out", str(tmp_path / "o")],
                    "integer multiple of dt")
     nosample = tmp_path / "nosample.cfg"
     nosample.write_text(TINY_EVOLVE.replace("sample_every = 5", "sample_every = 0"))
@@ -190,7 +191,7 @@ def test_config_errors(tmp_path, capsys):
 
     # malformed covariance, oracle and mass settings: one-line messages
     weyl, weyl_kvn = "scenarios/weyl_kvh.cfg", "scenarios/weyl_kvn.cfg"
-    oracle_cfg = "scenarios/oracle_free_kvh.cfg"
+    oracle_cfg = "scenarios/free_kvh.cfg"
     zero_mass = (("masses = 1.0", "masses = 0.0"),)
     x_axis = (("axes = q, p", "axes = q, p, x"),
               ("[dynamics]", "[axis.x]\nmin = -8.0\nextent = 16.0\npoints = 16\n\n[dynamics]"),
@@ -214,12 +215,22 @@ def test_config_errors(tmp_path, capsys):
          "mass must be positive and finite"),
         ("evolve", "scenarios/free_kvh.cfg", zero_mass,
          "[dynamics]: masses must be positive and finite"),
-        ("oracle", oracle_cfg, (("flow_steps = 64", "flow_steps = 0"),),
+        ("evolve", oracle_cfg, (("flow_steps = 64", "flow_steps = 0"),),
          "[oracle]: steps must be >= 1"),
-        ("oracle", oracle_cfg, (("interp = closed_form", "interp = nope"),),
+        ("evolve", oracle_cfg, (("interp = closed_form", "interp = nope"),),
          "unknown interpolation mode 'nope'"),
-        ("oracle", oracle_cfg, (("interp = closed_form", "interp = spectral"),),
+        ("evolve", oracle_cfg, (("interp = closed_form", "interp = spectral"),),
          "unknown interpolation mode 'spectral'"),
+        # the reference covers kvn and kvh; a hybrid run with [oracle] fails
+        # before it propagates or makes its output directory
+        ("evolve", "scenarios/hybrid_harmonic.cfg",
+         (("[output]", "[oracle]\nflow_steps = 8\n\n[output]"),),
+         "[oracle]: reference solutions cover kvn and kvh only"),
+        ("evolve", "scenarios/free_kvh.cfg", (("kind = evolve", "kind = oracle"),),
+         "unknown run kind 'oracle'"),
+        ("evolve", "scenarios/harmonic_kvn.cfg",
+         (("sample_every = 512", "sample_every = 512\ninteraction = potential_only"),),
+         "[dynamics]: kvn has no potential phase: potential_only would run free"),
         ("evolve", "scenarios/hybrid_negative_control.cfg",
          (("interaction = potential_only", "interaction = kick_only"),),
          "unknown interaction mode 'kick_only'"),
@@ -233,8 +244,6 @@ def test_config_errors(tmp_path, capsys):
          (("sweep_v = 0.0, 0.5, 1.0", "sweep_v ="),), "sweep_v needs at least one velocity"),
         ("covariance", "scenarios/covariance_kvh.cfg",
          (("sweep_v = 0.0, 0.5, 1.0", ""),), "missing key 'sweep_v'"),
-        ("evolve", "scenarios/free_kvh.cfg", (("potential = free", "potential = harmonic"),),
-         "[checks] closed_form applies to free scenarios"),
         ("evolve", "scenarios/free_kvh.cfg", (("points = 256", "points = 1099511627776"),),
          f"[grid]: grid of {2 ** 80} cells exceeds the cap of {2 ** 26}"),
         # keys that no longer exist fail as unknown keys
@@ -244,8 +253,10 @@ def test_config_errors(tmp_path, capsys):
          "unknown key 'phase_coeffs' in section [initial]"),
         ("evolve", "scenarios/free_kvh.cfg", (("dump_state = true", "dump_every = 1"),),
          "unknown key 'dump_every' in section [output]"),
-        ("oracle", oracle_cfg, (("flow_steps = 64", "flow_steps = 64\nmask_threshold = 1e-6"),),
+        ("evolve", oracle_cfg, (("flow_steps = 64", "flow_steps = 64\nmask_threshold = 1e-6"),),
          "unknown key 'mask_threshold' in section [oracle]"),
+        ("evolve", oracle_cfg, (("[oracle]", "[checks]\nclosed_form = true\n\n[oracle]"),),
+         "unknown section [checks]"),
         ("covariance", "scenarios/covariance_kvh.cfg", (("sweep_v =", "v = 1.0\nsweep_v ="),),
          "unknown key 'v' in section [transform]"),
         ("covariance", weyl_kvn, (("kind = weyl", "kind = weyl\ng1 = boost"),),
@@ -258,19 +269,15 @@ def test_config_errors(tmp_path, capsys):
          "key 'potential' in section [dynamics] is not read by covariance runs"),
         ("covariance", weyl, (("masses = 1.0", "masses = 1.0\nt_final = -3.0"),),
          "key 't_final' in section [dynamics] is not read by weyl runs"),
-        ("evolve", "scenarios/free_kvh.cfg",
-         (("dump_state = true", "dump_state = true\n\n[oracle]\ninterp = cubic\n\n"
-           "[transform]\nkind = weyl"),),
-         "key 'interp' in section [oracle] is not read by evolve runs"),
-        ("evolve", "scenarios/free_kvh.cfg", (("[checks]", "[transform]\n\n[checks]"),),
+        ("evolve", "scenarios/free_kvh.cfg", (("[oracle]", "[transform]\nkind = weyl\n\n[oracle]"),),
+         "key 'kind' in section [transform] is not read by evolve runs"),
+        ("evolve", "scenarios/free_kvh.cfg", (("[oracle]", "[transform]\n\n[oracle]"),),
          "section [transform] is not read by evolve runs"),
+        ("covariance", weyl_kvn, (("[output]", "[oracle]\nflow_steps = 8\n\n[output]"),),
+         "section [oracle] is not read by weyl runs"),
         ("evolve", "scenarios/free_kvh.cfg",
          (("[dynamics]", "[axis.q9]\nmin = -1.0\nextent = 2.0\npoints = 8\n\n[dynamics]"),),
          "section [axis.q9] is not read: [grid] axes does not list 'q9'"),
-        ("oracle", oracle_cfg, (("t_final = 0.5", "t_final = 0.5\nsample_every = 2"),),
-         "key 'sample_every' in section [dynamics] is not read by oracle runs"),
-        ("oracle", oracle_cfg, (("dir = ", "dump_state = true\ndir = "),),
-         "key 'dump_state' in section [output] is not read by oracle runs"),
         ("covariance", "scenarios/covariance_kvh.cfg",
          (("sweep_v =", "sweep_a = 0.5\nsweep_v ="),),
          "key 'sweep_a' in section [transform] is not read by covariance runs"),
@@ -319,7 +326,7 @@ def _build(path):
     sc = cli._load_scenario(path, cli.parse_scenario(path).kind)
     grid = cli.build_grid(sc)
     cli.build_initial(sc, grid)
-    if sc.kind in ("evolve", "oracle"):
+    if sc.kind == "evolve":
         cli.read_t_final(sc, cli.build_plan_from(sc, grid).dt)
 
 
@@ -402,7 +409,7 @@ def test_every_scenario_key_has_a_shipped_caller():
     # alpha sets the quartic potential, which only tests use: it is what
     # checks the oracle and the kick away from linear forces
     assert keys - set_keys == {("dynamics", "alpha")}
-    assert len(keys) == 25
+    assert len(keys) == 24
 
 
 def test_numerical_abort_exit_code(tiny_cfg, monkeypatch, tmp_path):
@@ -414,7 +421,7 @@ def test_numerical_abort_exit_code(tiny_cfg, monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("command,source", [("evolve", "TINY"),
-                                            ("oracle", "scenarios/oracle_free_kvh.cfg")])
+                                            ("evolve", "scenarios/free_kvh.cfg")])
 def test_unusable_out_fails_before_the_run(tiny_cfg, monkeypatch, tmp_path,
                                            command, source):
     def never(*a, **k):
@@ -446,24 +453,33 @@ def test_covariance_command(tmp_path):
 
 
 def test_oracle_command(tmp_path):
-    rc = cli.main(["oracle", "scenarios/oracle_free_kvh.cfg",
+    # the oracle runs as the [oracle] section of an evolve run: the error
+    # against the characteristics reference, exact on a free packet
+    rc = cli.main(["evolve", "scenarios/free_kvh.cfg",
                    "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_OK
     lines = (tmp_path / "o" / "oracle.csv").read_text().splitlines()
-    assert lines[0].startswith("t,l2,masked_linf")
+    assert lines[0] == ("t,l2,masked_linf,modulus_l2,modulus_masked_linf,"
+                        "phase_masked_maxabs,global_phase,residual_after_global,"
+                        "excluded_fraction")
     values = dict(zip(lines[0].split(","), lines[1].split(",")))
+    assert float(values["t"]) == 0.5
     assert float(values["modulus_masked_linf"]) <= 1e-8
     assert float(values["phase_masked_maxabs"]) <= 1e-8
 
 
-def test_free_scenario_phase_check(tmp_path):
-    rc = cli.main(["evolve", "scenarios/free_kvh.cfg",
-                   "--out", str(tmp_path / "f")])
-    assert rc == cli.EXIT_OK
-    lines = (tmp_path / "f" / "phase_check.csv").read_text().splitlines()
-    assert lines[0] == "t,masked_linf,modulus_masked_linf,phase_masked_maxabs"
-    cells = lines[-1].split(",")
-    assert float(cells[3]) <= 1e-6
+def test_free_scenario_phase_check(tmp_path, capsys):
+    # a free scenario's run also writes its phase against the reference
+    for cfg in ("scenarios/free_kvh.cfg", "scenarios/free_kvn.cfg"):
+        out_dir = tmp_path / Path(cfg).stem
+        rc = cli.main(["evolve", cfg, "--out", str(out_dir)])
+        assert rc == cli.EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in out] == ["evolve", "oracle"]
+        lines = (out_dir / "oracle.csv").read_text().splitlines()
+        values = dict(zip(lines[0].split(","), lines[-1].split(",")))
+        assert float(values["phase_masked_maxabs"]) <= 1e-6
+        assert (out_dir / "run.csv").exists() and (out_dir / "final.kvhw").exists()
 
 
 @pytest.mark.parametrize("text", [None, TINY_EVOLVE,

@@ -29,12 +29,12 @@ def test_plan_shapes():
     for formalism in ("kvn", "kvh"):
         assert _flows(ev.build_plan(GRID, formalism, [1.0], free, 0.1)) == [(0,)]
         assert _flows(ev.build_plan(GRID, formalism, [1.0], harm, 0.1)) == [(0,), (1,), (0,)]
-    # without the kick, B is a plain multiplication by exp(-i dt V), and
-    # kvn, which has no V phase, is left with the exact free flow
+    # without the kick, B is a plain multiplication by exp(-i dt V); kvn
+    # has no V phase, so it refuses the mode rather than run free
     assert _flows(ev.build_plan(GRID, "kvh", [1.0], harm, 0.1,
                                 interaction="potential_only")) == [(0,), (), (0,)]
-    assert _flows(ev.build_plan(GRID, "kvn", [1.0], harm, 0.1,
-                                interaction="potential_only")) == [(0,)]
+    with pytest.raises(ValueError, match="potential_only would run free"):
+        ev.build_plan(GRID, "kvn", [1.0], harm, 0.1, interaction="potential_only")
     g3 = make_grid("qpx", 32)
     hyb = ev.make_potential("hybrid_pair", g3, {"kappa": 1.0})
     plan = ev.build_plan(g3, "hybrid", [1.0, 1.0], hyb, 0.01)
@@ -74,7 +74,9 @@ def random_runs(draw):
     axes, masses, kinds = PROPERTY_CASES[formalism]
     g = make_grid(axes, 16 if axes == "qp" else 8)
     pot = ev.make_potential(draw(st.sampled_from(kinds)), g)
-    interaction = draw(st.sampled_from(("full", "potential_only")))
+    # kvn has no V phase, so it refuses potential_only
+    interaction = draw(st.sampled_from(
+        ("full",) if formalism == "kvn" else ("full", "potential_only")))
     plan = ev.build_plan(g, formalism, masses, pot, draw(st.floats(1e-3, 0.1)),
                          interaction)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -120,12 +122,14 @@ def _time_reversed(w):
 @settings(max_examples=40, deadline=None)
 @given(formalism=st.sampled_from(["kvn", "kvh"]), kind=st.sampled_from(["free", "harmonic"]),
        centres=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
-       phase=st.sampled_from(["none", "action"]), dt=st.floats(1e-3, 0.1),
+       complex_phase=st.booleans(), dt=st.floats(1e-3, 0.1),
        nsteps=st.integers(1, 20), sample_every=st.integers(1, 6))
-def test_time_reversed_run_returns_to_start(formalism, kind, centres, phase, dt,
+def test_time_reversed_run_returns_to_start(formalism, kind, centres, complex_phase, dt,
                                             nsteps, sample_every):
     g = make_grid(n=64)
-    w0 = gaussian_init(g, centres, (0.8, 0.8), phase)
+    w0 = gaussian_init(g, centres, (0.8, 0.8))
+    if complex_phase:   # exp(i q p) keeps the modulus, so the state stays normalized
+        w0 = Wavefunction(g, w0.values * np.exp(1j * g.coordinate("q") * g.coordinate("p")))
     plan = ev.build_plan(g, formalism, [1.0], ev.make_potential(kind, g), dt)
     _, w = ev.run(w0, plan, nsteps * plan.dt, sample_every)
     _, back = ev.run(_time_reversed(w), plan, nsteps * plan.dt, sample_every)

@@ -140,9 +140,8 @@ def test_gaussian_init_contract():
         gaussian_init(GRID, (0, 0), (0.1, 1.0))
     with pytest.raises(ValueError, match="one center"):
         gaussian_init(GRID, (0,), (1, 1))
-    act = gaussian_init(GRID, (0.0, 1.5), (1, 1), phase="action")
-    assert inner_product(act, apply_lambda(act, "q")).real \
-        == pytest.approx(1.5, abs=1e-8)
+    with pytest.raises(ValueError, match="unknown phase option 'action'"):
+        gaussian_init(GRID, (0, 0), (1, 1), phase="action")
 
 
 def test_gaussian_marginals():
