@@ -252,13 +252,23 @@ def write_manifest(sc: Scenario, out_dir: Path) -> None:
     (out_dir / "manifest.cfg").write_text("\n".join(lines) + "\n")
 
 
+def _make_out_dir(args, sc: Scenario | None = None) -> Path:
+    """The output directory, made: --out, else [output] dir, else "out".
+    One that cannot be made is a config error."""
+    out_dir = Path(args.out or sc.get("output", "dir", "out"))
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ScenarioError(f"{'--out' if args.out else '[output] dir'}: {e}") from e
+    return out_dir
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_check_algebra(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(args)
     all_ok = True
     lines = []
     rows = []
@@ -297,8 +307,7 @@ def cmd_evolve(args) -> int:
             ref, valid = chars.reference_solution(
                 w0, plan.masses, plan.potential, t_final, plan.formalism,
                 **sc.sections["oracle"])
-    out_dir = Path(args.out or sc.get("output", "dir", "out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(args, sc)
 
     record, w = ev.run(w0, plan, t_final, sample_every)
     record.to_csv(out_dir / "run.csv")
@@ -360,8 +369,7 @@ def cmd_covariance(args) -> int:
                          t_final, phase.real, phase.imag, "", "", "", residual))
     # after the sweep, which checks elements, masses and the grid, and
     # takes milliseconds
-    out_dir = Path(args.out or sc.get("output", "dir", "out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(args, sc)
     with open(out_dir / "covariance.csv", "w", newline="") as fh:
         fh.write("formalism,g1,g2,a,v,t,phase_re,phase_im,"
                  "predicted_re,predicted_im,angle_error,residual\n")

@@ -8,9 +8,12 @@ the integration measure is the product of the spacings.
 
 Multiplication operators act pointwise; the derivative operators
 (-i d/dq, -i d/dp, -i d/dx) act spectrally: transform along one axis,
-multiply by the conjugate wavenumber, transform back.  All reductions
-use numpy's fixed pairwise summation, so results are deterministic and
-independent of the FFT worker count.
+multiply by the conjugate wavenumber, transform back.  Transforms are
+numpy's FFT, given the axes reversed (which reproduces scipy.fft's axis
+order bit for bit) and one output buffer; with several workers, threads
+transform slabs of the array.  All reductions use numpy's fixed
+pairwise summation, so results are deterministic and independent of the
+FFT worker count.
 
 Binary state dumps use a 64-byte preamble (magic ``KVHW``, version,
 rank) followed by one 32-byte record per axis (name, points, min,
@@ -26,9 +29,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-import scipy.fft as sfft
+import numpy.fft as sfft
 
 _fft_workers = 1
+_pool = None        # the threads of set_fft_workers(n > 1)
 # Largest grid accepted: 2^26 cells, 1 GiB of complex128 amplitudes
 # (64 times the largest shipped grid, 32^4).
 MAX_CELLS = 2 ** 26
@@ -36,22 +40,40 @@ MAX_CELLS = 2 ** 26
 
 def set_fft_workers(n: int) -> None:
     """FFT thread count; output is byte-identical for any value."""
-    global _fft_workers
+    global _fft_workers, _pool
     if n < 1:
         raise ValueError("worker count must be >= 1")
-    _fft_workers = int(n)
+    if _pool:
+        _pool.shutdown()
+    _fft_workers, _pool = int(n), None
+    if n > 1:
+        from concurrent.futures import ThreadPoolExecutor   # here: only threads need it
+        _pool = ThreadPoolExecutor(n)
+
+
+def _transform(fn, values, axes, overwrite):
+    """numpy's ``fn`` (fftn or ifftn) over ``axes`` reversed, which matches
+    scipy.fft bit for bit, into one buffer: ``values`` with ``overwrite``,
+    else one new array.  With workers, each thread transforms one slab of
+    the first untransformed axis, so every line's arithmetic is the same."""
+    axes = tuple(axes)[::-1]
+    out = values if overwrite else np.empty_like(values)
+    rest = [i for i in range(values.ndim) if i not in axes]
+    if _pool is None or not rest:
+        return fn(values, axes=axes, out=out)
+    parts = min(_fft_workers, values.shape[rest[0]])
+    slabs = zip(np.array_split(values, parts, rest[0]), np.array_split(out, parts, rest[0]))
+    list(_pool.map(lambda slab: fn(slab[0], axes=axes, out=slab[1]), slabs))
+    return out
 
 
 def _fft(values, axes, overwrite=False):
-    """fftn over ``axes``; ``overwrite`` lets it reuse the input's memory,
-    which on 64^3 data also halves the time of a two-axis transform."""
-    return sfft.fftn(values, axes=tuple(axes), workers=_fft_workers,
-                     overwrite_x=overwrite)
+    """fftn over ``axes``; ``overwrite`` transforms ``values`` in place."""
+    return _transform(sfft.fftn, values, axes, overwrite)
 
 
 def _ifft(values, axes, overwrite=False):
-    return sfft.ifftn(values, axes=tuple(axes), workers=_fft_workers,
-                      overwrite_x=overwrite)
+    return _transform(sfft.ifftn, values, axes, overwrite)
 
 
 @dataclass(frozen=True)

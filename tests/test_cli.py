@@ -421,8 +421,10 @@ def test_numerical_abort_exit_code(tiny_cfg, monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("command,source", [("evolve", "TINY"),
-                                            ("evolve", "scenarios/free_kvh.cfg")])
-def test_unusable_out_fails_before_the_run(tiny_cfg, monkeypatch, tmp_path,
+                                            ("evolve", "scenarios/free_kvh.cfg"),
+                                            ("covariance", "scenarios/weyl_kvh.cfg"),
+                                            ("check-algebra", None)])
+def test_unusable_out_fails_before_the_run(tiny_cfg, monkeypatch, tmp_path, capsys,
                                            command, source):
     def never(*a, **k):
         raise AssertionError("propagated before making the output directory")
@@ -430,8 +432,20 @@ def test_unusable_out_fails_before_the_run(tiny_cfg, monkeypatch, tmp_path,
     blocker = tmp_path / "file"
     blocker.write_text("")
     source = str(tiny_cfg) if source == "TINY" else source
-    with pytest.raises(OSError):
-        cli.main([command, source, "--out", str(blocker / "out")])
+    argv = [command, source] if source else [command, "--formalism", "kvn"]
+    assert cli.main(argv + ["--out", str(blocker / "out")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --out: ") and str(blocker) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_unusable_output_dir_is_named_as_config(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_EVOLVE.replace("[output]", f"[output]\ndir = {blocker / 'out'}"))
+    assert cli.main(["evolve", str(cfg)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: [output] dir: ")
 
 
 def test_covariance_command(tmp_path):

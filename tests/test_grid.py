@@ -2,12 +2,14 @@ import struct
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koopman.grid import (
-    Axis, GridSpec, Wavefunction, apply_lambda, dump_state, gaussian_init,
-    inner_product, leakage, load_state, norm, phase_mask,
+    Axis, GridSpec, Wavefunction, _fft, _ifft, apply_lambda, dump_state,
+    gaussian_init, inner_product, leakage, load_state, norm, phase_mask,
+    set_fft_workers,
 )
 
 
@@ -158,6 +160,30 @@ def test_phase_mask_and_leakage():
     assert leakage(W) <= 1e-8
     wide = gaussian_init(GRID, (6.0, 0.0), (1.5, 1.0))
     assert leakage(wide) > 1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.lists(st.sampled_from((8, 16, 32)), min_size=1, max_size=4),
+       data=st.data(), overwrite=st.booleans(), workers=st.integers(1, 3))
+def test_fft_is_worker_independent_in_place_and_exact(shape, data, overwrite, workers):
+    axes = data.draw(st.lists(st.integers(0, len(shape) - 1), min_size=1, unique=True))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    one_worker = {fn: fn(values, axes) for fn in (_fft, _ifft)}
+    try:
+        set_fft_workers(workers)
+        for fn, reference in ((_fft, scipy.fft.fftn), (_ifft, scipy.fft.ifftn)):
+            v = values.copy()
+            out = fn(v, axes, overwrite)
+            assert out.tobytes() == one_worker[fn].tobytes()
+            # with overwrite the input buffer is the result; else it is untouched
+            assert out is v if overwrite else v.tobytes() == values.tobytes()
+            expected = reference(values, axes=axes)
+            assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
+        back = _ifft(_fft(values, axes), axes)
+        assert np.max(np.abs(back - values)) <= 1e-12 * np.max(np.abs(values))
+    finally:
+        set_fft_workers(1)
 
 
 def test_dump_roundtrip(tmp_path):

@@ -137,13 +137,45 @@ def _fresh_python(code: str) -> None:
     assert done.returncode == 0, done.stderr
 
 
-def test_cli_import_leaves_scipy_ndimage_unloaded():
-    # only the oracle's cubic interpolation needs it, and imports it there
+_TINY_KVH = """
+[run]
+kind = evolve
+[grid]
+axes = q, p
+[axis.q]
+min = -8.0
+extent = 16.0
+points = 16
+[axis.p]
+min = -8.0
+extent = 16.0
+points = 16
+[dynamics]
+formalism = kvh
+masses = 1.0
+potential = harmonic
+dt = 0.05
+t_final = 0.1
+[initial]
+centers = 0.0, 1.0
+widths = 3.0, 3.0
+"""
+
+
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # numpy's FFT propagates; only the oracle's cubic interpolation
+    # imports scipy, and only when it runs
+    no_scipy = ("loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+                "assert not loaded, loaded\n")
+    _fresh_python("import sys\nimport koopman.cli\n" + no_scipy)
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(_TINY_KVH)
     _fresh_python(
         "import sys\n"
-        "import koopman.cli\n"
-        "assert 'scipy.fft' in sys.modules\n"
-        "assert 'scipy.ndimage' not in sys.modules\n")
+        "from koopman import cli\n"
+        f"assert cli.main(['evolve', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        + no_scipy)
+    assert (tmp_path / "out" / "run.csv").exists()
 
 
 def test_exact_algebra_imports_without_numeric_stack():
