@@ -342,6 +342,8 @@ def cmd_covariance(args) -> int:
     if len(masses) != 1:
         raise ScenarioError("[dynamics]: covariance needs exactly one mass")
     mass = masses[0]
+    with _config_errors("[dynamics]"):
+        ga.exact_parameters(formalism, mass)
     sweep_v = _sweep(sc, "sweep_v", "velocity")
     worst = 0.0
     rows = []
@@ -356,7 +358,7 @@ def cmd_covariance(args) -> int:
                     predicted = ga.predicted_weyl_phase(g1, g2)
                 angle_err = abs(np.angle(phase * np.conj(predicted)))
                 worst = max(worst, residual, angle_err)
-                rows.append((formalism, g1.kind, g2.kind, a, v, g1.t,
+                rows.append((formalism, "boost", "translation", a, v, 0,
                              phase.real, phase.imag, predicted.real,
                              predicted.imag, angle_err, residual))
     else:
@@ -367,7 +369,7 @@ def cmd_covariance(args) -> int:
             worst = max(worst, residual)
             rows.append((formalism, "boost+evolve", "evolve+boost", "", v,
                          t_final, phase.real, phase.imag, "", "", "", residual))
-    # after the sweep, which checks elements, masses and the grid, and
+    # after the sweep, which checks the elements and the grid, and
     # takes milliseconds
     out_dir = _make_out_dir(args, sc)
     with open(out_dir / "covariance.csv", "w", newline="") as fh:

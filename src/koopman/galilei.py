@@ -1,93 +1,105 @@
 """Finite Galilei transformations on phase-space wavefunctions.
 
-Implements the unitary actions of translations, boosts and free time
-evolution for a single classical particle in one dimension, in both the
-non-projective (kvn) and projective (kvh) representations.  Each element
-is one exact flow: translations and boosts shift q by a + v t and p by
-m v with one spectral phase factor over the axes that move, and free
-time is the propagator's free flow.  The projective boost then
-multiplies the position-dependent phase that makes the
-boost/translation pair noncommute up to a global phase.
+A finite transformation U = e^X of a single classical particle in one
+dimension is its exponent X: an exact operator of
+``ccr.single_classical()`` with the parameters folded in, the
+formalism's rule applied to the generator's phase-space function
+(non-projective kvn or projective kvh).  ``act`` is the one rule that
+exponentiates an exponent on the grid.  The moved axes are those of X's
+derivative letters; the terms D of X with no multiplication letter on a
+moved axis are diagonal once the moved axes are transformed, and the
+rest, M, must be multiplications with a central [D, M], so
+
+    e^X = e^(M + [D, M]/2) e^D.
+
+Translations, kvn boosts, the kvh boost at t = 0 and free time are D
+alone; the kvh boost at t != 0 adds M = i m v q.  The kvh boost's i m v q
+term makes the boost/translation pair noncommute up to a global phase.
 
 The measured Weyl phase between two finite transformations is compared
-against the prediction derived from the symbolic commutator of their
-exponents (for central commutators e^A e^B = e^B e^A e^[A,B]), so the
-numeric grid action and the exact algebra check each other.  Boost
-covariance of free evolution applies free_time directly, with the same
-best-fit phase.
+against the prediction exp([X1, X2]) from the same exponents (for
+central commutators e^A e^B = e^B e^A e^[A,B]), so the numeric grid
+action and the exact algebra check each other.  Boost covariance of free
+evolution applies free_time directly, with the same best-fit phase.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from . import ccr
+from .evolve import Flow
 from .exactpoly import I
-from .evolve import Flow, free_flow
 from .grid import Wavefunction, inner_product, norm
 
-
-# the parameters each kind reads; the others must stay 0
-_READS = {"translation": "a", "boost": "vt", "free_time": "t"}
+_ALG = ccr.single_classical()
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """One finite transformation; boosts carry their evaluation time
-    explicitly because the boost generator is time dependent."""
-    kind: str        # translation | boost | free_time
-    formalism: str   # kvn | kvh
-    mass: float = 1.0
-    a: float = 0.0   # translation offset
-    v: float = 0.0   # boost velocity
-    t: float = 0.0   # boost evaluation time / time-translation span
-
-    def __post_init__(self):
-        if self.kind not in _READS:
-            raise ValueError(f"unknown group element kind {self.kind!r}")
-        if self.formalism not in ("kvn", "kvh"):
-            raise ValueError(f"unknown formalism {self.formalism!r}")
-        if not 0 < self.mass < np.inf:
-            raise ValueError("mass must be positive and finite")
-        for value in (self.a, self.v, self.t):
-            if not np.isfinite(value):
-                raise ValueError("group parameters must be finite")
-        unread = [f for f in "avt" if f not in _READS[self.kind] and getattr(self, f)]
-        if unread:
-            raise ValueError(f"a {self.kind} does not read {', '.join(unread)}")
+def exact_parameters(formalism: str, mass: float, *params: float) -> list:
+    """The mass and the parameters as exact fractions; ValueError for an
+    unknown formalism, a bad mass or a parameter that is not finite."""
+    if formalism not in ("kvn", "kvh"):
+        raise ValueError(f"unknown formalism {formalism!r}")
+    if not 0 < mass < np.inf:
+        raise ValueError("mass must be positive and finite")
+    if not all(np.isfinite(params)):
+        raise ValueError("group parameters must be finite")
+    return [Fraction(mass)] + [Fraction(x) for x in params]
 
 
-def translation(a: float, formalism: str, mass: float = 1.0) -> GroupElement:
-    return GroupElement("translation", formalism, mass, a=a)
+def translation(a: float, formalism: str, mass: float = 1.0) -> ccr.NCPoly:
+    """-i a lam_q: psi(q - a, p) in every formalism."""
+    _, a = exact_parameters(formalism, mass, a)
+    return _ALG.op("lam_q", -I * a)
 
 
-def boost(v: float, t: float = 0.0, formalism: str = "kvn", mass: float = 1.0) -> GroupElement:
-    return GroupElement("boost", formalism, mass, v=v, t=t)
+def boost(v: float, t: float = 0.0, formalism: str = "kvn", mass: float = 1.0) -> ccr.NCPoly:
+    """i v rule(m q - t p): the boost evaluated at time t."""
+    m, v, t = exact_parameters(formalism, mass, v, t)
+    obs = _ALG.observable
+    return _ALG.apply_rule(m * obs("q") - t * obs("p"), formalism) * (I * v)
 
 
-def free_time(t: float, formalism: str, mass: float = 1.0) -> GroupElement:
-    return GroupElement("free_time", formalism, mass, t=t)
+def free_time(t: float, formalism: str, mass: float = 1.0) -> ccr.NCPoly:
+    """-i t rule(p^2/2m): free evolution over time t."""
+    m, t = exact_parameters(formalism, mass, t)
+    p = _ALG.observable("p")
+    return _ALG.apply_rule(p * p / (2 * m), formalism) * (-I * t)
 
 
-def act(g: GroupElement, w: Wavefunction) -> Wavefunction:
-    """Apply one finite transformation; unitary up to rounding."""
-    grid, m = w.grid, g.mass
-    qn, pn, xn = (grid.names(r) for r in "qpx")
-    if len(qn) != 1 or len(pn) != 1 or xn:
+def act(x: ccr.NCPoly, w: Wavefunction) -> Wavefunction:
+    """Apply e^X (see the module docstring); unitary up to rounding."""
+    grid, alg = w.grid, x.algebra
+    if sorted(grid.names()) != sorted(alg.observable_symbols[len(alg.central_symbols):]):
         raise ValueError("finite transformations act on single-particle (q, p) grids")
-    qn, pn = qn[0], pn[0]
-    if g.kind == "free_time":
-        flow = free_flow(grid, g.formalism, [m], g.t)
-    else:   # psi(q - a - v t, p - m v); the fields a kind does not use are 0
-        moves = [(n, d) for n, d in ((qn, g.a + g.v * g.t), (pn, m * g.v)) if d]
-        expo = sum(grid.wavenumber(n) * d for n, d in moves)
-        flow = Flow(tuple(grid.index(n) for n, _ in moves), (np.exp(-1j * expo),))
-    out = flow.apply(w.values)
-    if g.kind == "boost" and g.formalism == "kvh":
-        out *= np.exp(1j * (m * grid.coordinate(qn) * g.v - 0.5 * m * g.t * g.v ** 2))
+    rank, conjugate = alg.rank, alg.conjugate
+    derivative = lambda g: rank[g] > rank[conjugate[g]]
+    axis = lambda g: alg.name(conjugate[g] if derivative(g) else g)
+    moved = {axis(g) for word in x.terms for g in word if derivative(g)}
+    in_m = lambda word: any(axis(g) in moved and not derivative(g) for g in word)
+    d = ccr.NCPoly(alg, {word: c for word, c in x.terms.items() if not in_m(word)})
+    m = ccr.NCPoly(alg, {word: c for word, c in x.terms.items() if in_m(word)})
+    if any(derivative(g) for word in m.terms for g in word):
+        raise ValueError("exponent has no exact grid flow: a term multiplies "
+                         "and differentiates along its moved axes")
+    bracket = d.commutator(m)
+    if not bracket.is_central():
+        raise ValueError("exponent has no exact grid flow: its diagonal and "
+                         "multiplication parts do not have a central commutator")
+
+    def value(word, c):
+        """c times the word on the grid, each derivative letter its axis's wavenumber."""
+        return complex(c.constant_value()) * math.prod(
+            (grid.wavenumber if derivative(g) else grid.coordinate)(axis(g)) for g in word)
+
+    # one factor per term of D keeps each in its broadcast shape
+    out = Flow(tuple(sorted(map(grid.index, moved))),
+               tuple(np.exp(value(*term)) for term in d.terms.items())).apply(w.values)
+    if not m.is_zero:
+        out *= np.exp(sum(value(*term) for term in (m + bracket * Fraction(1, 2)).terms.items()))
     return Wavefunction(grid, out)
 
 
@@ -95,29 +107,14 @@ def act(g: GroupElement, w: Wavefunction) -> Wavefunction:
 # Weyl (projective) phases
 # ---------------------------------------------------------------------------
 
-def _exponent_operator(g: GroupElement, alg: ccr.Algebra) -> ccr.NCPoly:
-    """The exponent X in U = e^X, with all parameters folded in exactly."""
-    mi = Fraction(g.mass)
-    if g.kind == "translation":
-        return alg.op("lam_q", -I * Fraction(g.a))
-    obs = alg.observable
-    if g.kind == "boost":
-        gfun = mi * obs("q") - Fraction(g.t) * obs("p")
-        return alg.apply_rule(gfun, g.formalism) * (I * Fraction(g.v))
-    hfun = obs("p") * obs("p") / (2 * mi)     # free_time
-    return alg.apply_rule(hfun, g.formalism) * (-I * Fraction(g.t))
-
-
-def predicted_weyl_phase(g1: GroupElement, g2: GroupElement) -> complex:
+def predicted_weyl_phase(x1: ccr.NCPoly, x2: ccr.NCPoly) -> complex:
     """exp([X1, X2]) from the exact algebra; the commutator must be central."""
-    alg = ccr.single_classical()
-    c = _exponent_operator(g1, alg).commutator(_exponent_operator(g2, alg))
+    c = x1.commutator(x2)
     if not c.is_central():
         raise ValueError("exponents do not have a central commutator; "
                          "orderings differ by more than a global phase")
     # parameters are folded in exactly, so the scalar is a plain constant
-    val = complex(c.central_part().constant_value())
-    return complex(np.exp(val))
+    return complex(np.exp(complex(c.central_part().constant_value())))
 
 
 def _phase_fit(u: Wavefunction, v: Wavefunction):
@@ -128,11 +125,11 @@ def _phase_fit(u: Wavefunction, v: Wavefunction):
     return complex(phase), float(norm(Wavefunction(u.grid, u.values - phase * v.values)))
 
 
-def weyl_phase(g1: GroupElement, g2: GroupElement, w: Wavefunction):
+def weyl_phase(x1: ccr.NCPoly, x2: ccr.NCPoly, w: Wavefunction):
     """The global phase between the two application orders: _phase_fit of
-    g1 g2 w against g2 g1 w.  A residual above ~1e-6 signals a
+    e^X1 e^X2 w against e^X2 e^X1 w.  A residual above ~1e-6 signals a
     non-central discrepancy."""
-    return _phase_fit(act(g1, act(g2, w)), act(g2, act(g1, w)))
+    return _phase_fit(act(x1, act(x2, w)), act(x2, act(x1, w)))
 
 
 def covariance_check(formalism: str, v: float, t_final: float,

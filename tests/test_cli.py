@@ -201,7 +201,7 @@ def test_config_errors(tmp_path, capsys):
         ("covariance", weyl, (("masses = 1.0", "masses ="),), "exactly one mass"),
         ("covariance", weyl, x_axis, "single-particle"),
         ("covariance", weyl_kvn, (("formalism = kvn", "formalism = hybrid"),),
-         "[transform]: unknown formalism 'hybrid'"),
+         "[dynamics]: unknown formalism 'hybrid'"),
         ("covariance", weyl_kvn, (("sweep_v = 1.3", "sweep_v = inf"),),
          "bad value for 'sweep_v' in [transform]: 'inf' (must be finite)"),
         ("covariance", weyl_kvn, (("sweep_a = 0.7\n", ""),),
@@ -210,9 +210,9 @@ def test_config_errors(tmp_path, capsys):
          "sweep_a needs at least one offset"),
         ("covariance", weyl_kvn, (("kind = weyl", "kind = rotation"),),
          "unknown transform kind 'rotation'"),
-        ("covariance", weyl_kvn, zero_mass, "mass must be positive and finite"),
+        ("covariance", weyl_kvn, zero_mass, "[dynamics]: mass must be positive and finite"),
         ("covariance", "scenarios/covariance_kvh.cfg", zero_mass,
-         "mass must be positive and finite"),
+         "[dynamics]: mass must be positive and finite"),
         ("evolve", "scenarios/free_kvh.cfg", zero_mass,
          "[dynamics]: masses must be positive and finite"),
         ("evolve", oracle_cfg, (("flow_steps = 64", "flow_steps = 0"),),

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from koopman import ccr
 from koopman import galilei as ga
 from koopman.grid import Axis, GridSpec, gaussian_init, norm
 
@@ -70,30 +71,32 @@ def test_acts_match_closed_form_at_shifted_points(formalism, m, a, v, t):
         assert np.max(np.abs(ga.act(g, W).values - expect)) <= 1e-10
 
 
-def test_rotation_rejected_on_grids():
-    # rotations live in the symbolic module only (dimension >= 2)
-    with pytest.raises(ValueError, match="kind"):
-        ga.GroupElement("rotation", "kvn")
-
-
 def test_group_element_validation():
-    with pytest.raises(ValueError, match="kind"):
-        ga.GroupElement("twist", "kvn")
     with pytest.raises(ValueError, match="finite"):
         ga.translation(np.inf, "kvn")
+    with pytest.raises(ValueError, match="finite"):
+        ga.boost(0.5, np.nan, "kvh")
     for mass in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="mass must be positive and finite"):
             ga.boost(0.5, 0.0, "kvh", mass)
-    # a nonzero field its kind does not read is rejected, not carried into act
-    for kind, unread in (("translation", "vt"), ("boost", "a"), ("free_time", "av")):
-        for name in unread:
-            with pytest.raises(ValueError, match=f"a {kind} does not read {name}"):
-                ga.GroupElement(kind, "kvh", 1.0, **{name: 0.3})
-    with pytest.raises(ValueError, match="does not read v, t"):
-        ga.GroupElement("translation", "kvh", 1.0, a=0.5, v=0.3, t=1.0)
-    # the momentum translation is not a Galilei element and is gone
-    with pytest.raises(ValueError, match="kind"):
-        ga.GroupElement("momentum_translation", "kvh")
+    for formalism in ("hybrid", "quantum"):
+        with pytest.raises(ValueError, match=f"unknown formalism '{formalism}'"):
+            ga.free_time(0.5, formalism)
+
+
+def test_act_refuses_what_it_cannot_exponentiate():
+    # q lam_q multiplies and differentiates along q; p lam_q + q^2 splits,
+    # but [p lam_q, q^2] = -2i p q is not central: no exact grid flow
+    alg = ccr.single_classical()
+    q, p, lam_q = (alg.op(n) for n in ("q", "p", "lam_q"))
+    for x in (q * lam_q, p * lam_q + q * q):
+        with pytest.raises(ValueError, match="no exact grid flow"):
+            ga.act(x, W)
+    # the exponents live on one classical particle: grids with an x axis are refused
+    grid = GridSpec(GRID.axes + (Axis("x", -8.0, 16.0, 8),))
+    w = gaussian_init(grid, centers=(0.3, -0.4, 0.0), widths=(1.0, 0.7, 6.0))
+    with pytest.raises(ValueError, match="single-particle"):
+        ga.act(ga.translation(0.5, "kvn"), w)
 
 
 def test_weyl_phase_plain_representation_commutes():
@@ -133,13 +136,15 @@ def test_weyl_sweep_matches_prediction():
 
 
 @settings(max_examples=25, deadline=None)
-@given(formalism=st.sampled_from(["kvn", "kvh"]),
-       m=st.floats(0.5, 2.0), a=st.floats(-1.5, 1.5), mv=st.floats(-1.5, 1.5))
-def test_weyl_phase_matches_prediction_property(formalism, m, a, mv):
-    # translation by a and momentum kick m*v keep the packet 5 widths
-    # inside the grid
+@given(formalism=st.sampled_from(["kvn", "kvh"]), m=st.floats(0.5, 2.0),
+       a=st.floats(-1.5, 1.5), mv=st.floats(-1.5, 1.5), t=st.floats(-0.25, 0.25))
+def test_weyl_phase_matches_prediction_property(formalism, m, a, mv, t):
+    # translation by a, the boost's shift v*t (at most 0.75) and momentum
+    # kick m*v keep the packet 5 widths inside the grid; [X_boost(t), X_trans]
+    # = i m a v at every t, while at t != 0 the kvh boost needs its
+    # commutator term
     v = mv / m
-    g1, g2 = ga.boost(v, 0.0, formalism, m), ga.translation(a, formalism, m)
+    g1, g2 = ga.boost(v, t, formalism, m), ga.translation(a, formalism, m)
     ph, res = ga.weyl_phase(g1, g2, W)
     assert res <= 1e-6
     pred = ga.predicted_weyl_phase(g1, g2)
