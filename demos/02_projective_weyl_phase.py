@@ -24,7 +24,7 @@ print(__doc__)
 
 g1 = boost(1.3, 0.0, "kvn", mass)
 g2 = translation(0.7, "kvn", mass)
-ph, res = weyl_phase(g1, g2, w)
+ph, res, _ = weyl_phase(g1, g2, w)
 print("non-projective boost(v=1.3) vs translation(a=0.7):")
 print(f"  measured phase angle {np.angle(ph):+.2e} rad, residual {res:.2e}")
 print("  -> the orderings agree exactly: vanishing central charge\n")
@@ -35,7 +35,7 @@ for a in (0.5, 0.7, 0.9):
     for v in (1.1, 1.3, 1.5):
         g1 = boost(v, 0.0, "kvh", mass)
         g2 = translation(a, "kvh", mass)
-        ph, res = weyl_phase(g1, g2, w)
+        ph, res, _ = weyl_phase(g1, g2, w)
         pred = predicted_weyl_phase(g1, g2)
         err = abs(np.angle(ph * np.conj(pred)))
         print(f"  {a:4.2f}  {v:4.2f}  {np.angle(ph):+10.6f}  {mass*a*v:+10.6f}"

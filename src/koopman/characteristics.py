@@ -13,11 +13,13 @@ evaluate the initial state there, multiply by exp(i S).
 The ``interp`` mode alone decides how the initial state is read at the
 backward-flow points: "closed_form" (the default) evaluates the state's
 closed form exactly (gaussian_init states carry one), and "cubic"
-interpolates the samples with periodic cubic splines.
+interpolates the samples with a periodic cubic B-spline, in numpy.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -117,16 +119,50 @@ def integrate_flow(masses: Sequence[float], potential: Potential,
 # semi-Lagrangian reconstruction
 # ---------------------------------------------------------------------------
 
-def _interpolate_samples(w0: Wavefunction, points: dict) -> np.ndarray:
-    """Periodic cubic interpolation of the sampled amplitudes at
-    arbitrary points."""
-    from scipy.ndimage import map_coordinates   # here: it slows every CLI start
+# Points per block of the cubic interpolation: each tap's index, weight
+# and value arrays are then 32 or 64 KiB, below glibc's default 128 KiB
+# mmap threshold, so they are not mapped and zero-filled afresh per tap.
+_INTERP_BLOCK = 4096
 
-    idx_coords = np.array([(np.asarray(points[a.name]) - a.min) / a.spacing
-                           for a in w0.grid.axes])
-    re = map_coordinates(w0.values.real, idx_coords, order=3, mode="grid-wrap")
-    im = map_coordinates(w0.values.imag, idx_coords, order=3, mode="grid-wrap")
-    return re + 1j * im
+
+def _interpolate_samples(w0: Wavefunction, points: dict) -> np.ndarray:
+    """Periodic cubic B-spline interpolation of the sampled amplitudes at
+    arbitrary points, inside the box or not.
+
+    The prefilter is exact: sampling a cubic B-spline at the nodes weighs
+    them 1/6, 2/3, 1/6, whose periodic symbol (2 + cos w)/3 per axis is
+    divided out in Fourier space.  Each point then sums the 4^d taps
+    around it, the four per axis weighted by the cubic B-spline.
+    """
+    shape = w0.grid.shape
+    # one buffer through both transforms: numpy's fftn allocates one
+    # array per axis unless given ``out``
+    coef = np.fft.fftn(w0.values, out=np.empty(shape, dtype=complex))
+    for d, n in enumerate(shape):
+        symbol = (2.0 + np.cos(2 * np.pi * np.fft.fftfreq(n))) / 3.0
+        coef /= symbol.reshape((n,) + (1,) * (len(shape) - d - 1))
+    flat = np.fft.ifftn(coef, out=coef).ravel()
+    strides = [math.prod(shape[d + 1:]) for d in range(len(shape))]
+
+    coords = [np.asarray(points[a.name], dtype=float).ravel() for a in w0.grid.axes]
+    out = np.zeros(len(coords[0]), dtype=complex)
+    for lo in range(0, len(out), _INTERP_BLOCK):
+        offsets, weights = [], []
+        for a, stride, z in zip(w0.grid.axes, strides, coords):
+            u = (z[lo:lo + _INTERP_BLOCK] - a.min) / a.spacing
+            start = np.floor(u)
+            t = u - start
+            s = 1.0 - t
+            weights.append((s * s * s / 6, (3 * t - 6) * t * t / 6 + 2 / 3,
+                            ((-3 * t + 3) * t + 3) * t / 6 + 1 / 6, t * t * t / 6))
+            i0 = start.astype(np.intp) - 1
+            offsets.append([(i0 + o) % a.points * stride for o in range(4)])
+        acc = out[lo:lo + _INTERP_BLOCK]
+        for taps in itertools.product(range(4), repeat=len(shape)):
+            idx = sum(off[o] for off, o in zip(offsets, taps))
+            wgt = math.prod(w[o] for w, o in zip(weights, taps))
+            acc += wgt * flat.take(idx)
+    return out
 
 
 def reference_solution(w0: Wavefunction, masses: Sequence[float],

@@ -354,27 +354,27 @@ def cmd_covariance(args) -> int:
                 with _config_errors("[transform]"):
                     g1 = ga.boost(v, 0.0, formalism, mass)
                     g2 = ga.translation(a, formalism, mass)
-                    phase, residual = ga.weyl_phase(g1, g2, w0)
+                    phase, residual, leak = ga.weyl_phase(g1, g2, w0)
                     predicted = ga.predicted_weyl_phase(g1, g2)
                 angle_err = abs(np.angle(phase * np.conj(predicted)))
                 worst = max(worst, residual, angle_err)
                 rows.append((formalism, "boost", "translation", a, v, 0,
                              phase.real, phase.imag, predicted.real,
-                             predicted.imag, angle_err, residual))
+                             predicted.imag, angle_err, residual, leak))
     else:
         t_final = read_t_final(sc)
         for v in sweep_v:
             with _config_errors("[transform]"):
-                phase, residual = ga.covariance_check(formalism, v, t_final, w0, mass)
+                phase, residual, leak = ga.covariance_check(formalism, v, t_final, w0, mass)
             worst = max(worst, residual)
             rows.append((formalism, "boost+evolve", "evolve+boost", "", v,
-                         t_final, phase.real, phase.imag, "", "", "", residual))
+                         t_final, phase.real, phase.imag, "", "", "", residual, leak))
     # after the sweep, which checks the elements and the grid, and
     # takes milliseconds
     out_dir = _make_out_dir(args, sc)
     with open(out_dir / "covariance.csv", "w", newline="") as fh:
         fh.write("formalism,g1,g2,a,v,t,phase_re,phase_im,"
-                 "predicted_re,predicted_im,angle_error,residual\n")
+                 "predicted_re,predicted_im,angle_error,residual,leakage\n")
         for r in rows:
             fh.write(",".join(v if isinstance(v, str) else _fmt(v) for v in r) + "\n")
     write_manifest(sc, out_dir)

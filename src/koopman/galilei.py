@@ -33,7 +33,7 @@ import numpy as np
 from . import ccr
 from .evolve import Flow
 from .exactpoly import I
-from .grid import Wavefunction, inner_product, norm
+from .grid import Wavefunction, inner_product, leakage, norm
 
 _ALG = ccr.single_classical()
 
@@ -118,17 +118,21 @@ def predicted_weyl_phase(x1: ccr.NCPoly, x2: ccr.NCPoly) -> complex:
 
 
 def _phase_fit(u: Wavefunction, v: Wavefunction):
-    """(phase, residual): e^{i phi} = <v, u>/|<v, u>| (1 when they are
-    orthogonal) and ||u - e^{i phi} v||."""
+    """(phase, residual, leakage): e^{i phi} = <v, u>/|<v, u>| (1 when
+    they are orthogonal), ||u - e^{i phi} v||, and the larger boundary
+    leakage of u and v, which tells a boundary error from a non-central
+    one."""
     ov = inner_product(v, u)
     phase = ov / abs(ov) if ov != 0 else 1.0 + 0j
-    return complex(phase), float(norm(Wavefunction(u.grid, u.values - phase * v.values)))
+    return (complex(phase), float(norm(Wavefunction(u.grid, u.values - phase * v.values))),
+            float(max(leakage(u), leakage(v))))
 
 
 def weyl_phase(x1: ccr.NCPoly, x2: ccr.NCPoly, w: Wavefunction):
     """The global phase between the two application orders: _phase_fit of
     e^X1 e^X2 w against e^X2 e^X1 w.  A residual above ~1e-6 signals a
-    non-central discrepancy."""
+    non-central discrepancy, unless the leakage shows amplitude at the
+    boundary, where the kvh boost's phase is not periodic."""
     return _phase_fit(act(x1, act(x2, w)), act(x2, act(x1, w)))
 
 

@@ -172,13 +172,13 @@ def test_criterion_7_weyl_phases():
     t0 = time.time()
     grid = GridSpec((Axis("q", -8, 16, 128), Axis("p", -8, 16, 128)))
     w = gaussian_init(grid, centers=(0.3, -0.4), widths=(1.0, 0.7))
-    ph, res = ga.weyl_phase(ga.boost(1.3, 0.0, "kvn"), ga.translation(0.7, "kvn"), w)
+    ph, res, _ = ga.weyl_phase(ga.boost(1.3, 0.0, "kvn"), ga.translation(0.7, "kvn"), w)
     worst_res = res
     worst_angle = abs(np.angle(ph))
     for a in (0.5, 0.7, 0.9):
         for v in (1.1, 1.3, 1.5):
             g1, g2 = ga.boost(v, 0.0, "kvh"), ga.translation(a, "kvh")
-            ph, res = ga.weyl_phase(g1, g2, w)
+            ph, res, _ = ga.weyl_phase(g1, g2, w)
             pred = ga.predicted_weyl_phase(g1, g2)
             worst_res = max(worst_res, res)
             worst_angle = max(worst_angle, abs(np.angle(ph * np.conj(pred))))

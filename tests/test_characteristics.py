@@ -124,6 +124,51 @@ def test_reference_interpolation_modes():
     assert np.array_equal(got_w0.values, got_c.values)
 
 
+def _random_state(grid, rng):
+    return Wavefunction(grid, rng.standard_normal(grid.shape)
+                        + 1j * rng.standard_normal(grid.shape))
+
+
+@pytest.mark.parametrize("names, points", [(("q", "p"), 256),
+                                           (("q1", "q2", "p1", "p2"), 8)])
+def test_cubic_interpolation_matches_map_coordinates(names, points):
+    ndimage = pytest.importorskip("scipy.ndimage")
+    # dyadic spacings, so scipy's wrap of outside points is exact too
+    grid = GridSpec(tuple(Axis(n, -8.0, 16.0, points) for n in names))
+    rng = np.random.default_rng(points)
+    w = _random_state(grid, rng)
+    # inside the box and up to two periods outside it on either side
+    at = {a.name: rng.uniform(a.min - 2 * a.extent, a.min + 3 * a.extent, 20000)
+          for a in grid.axes}
+    got = ch._interpolate_samples(w, at)
+    index = np.array([(at[a.name] - a.min) / a.spacing for a in grid.axes])
+    expect = sum(unit * ndimage.map_coordinates(part, index, order=3, mode="grid-wrap")
+                 for unit, part in ((1, w.values.real), (1j, w.values.imag)))
+    assert np.max(np.abs(got - expect)) <= 1e-13
+
+
+@settings(max_examples=25, deadline=None)
+@given(points=st.lists(st.sampled_from((8, 16, 32)), min_size=1, max_size=3),
+       seed=st.integers(0, 2 ** 32 - 1), periods=st.integers(-3, 3),
+       scale=st.complex_numbers(max_magnitude=4.0))
+def test_cubic_interpolation_properties(points, seed, periods, scale):
+    grid = GridSpec(tuple(Axis(f"q{i}", -1.5, 3.0, n) for i, n in enumerate(points)))
+    rng = np.random.default_rng(seed)
+    u, v = _random_state(grid, rng), _random_state(grid, rng)
+    nodes = {n: np.broadcast_to(grid.coordinate(n), grid.shape).ravel() for n in grid.names()}
+    # the samples come back at the nodes
+    assert np.max(np.abs(ch._interpolate_samples(u, nodes) - u.values.ravel())) <= 1e-13
+    at = {a.name: rng.uniform(a.min, a.min + a.extent, 300) for a in grid.axes}
+    got = ch._interpolate_samples(u, at)
+    # the interpolant is periodic over the box
+    moved = {a.name: at[a.name] + periods * a.extent for a in grid.axes}
+    assert np.max(np.abs(ch._interpolate_samples(u, moved) - got)) <= 1e-12
+    # and linear in the samples
+    combined = Wavefunction(grid, scale * u.values + v.values)
+    expect = scale * got + ch._interpolate_samples(v, at)
+    assert np.max(np.abs(ch._interpolate_samples(combined, at) - expect)) <= 1e-12
+
+
 def test_reference_validation(monkeypatch):
     with pytest.raises(ValueError, match="kvn and kvh"):
         ch.reference_solution(W0, [1.0], FREE, 0.1, "hybrid")

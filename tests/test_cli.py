@@ -460,6 +460,7 @@ def test_covariance_command(tmp_path):
         cells = line.split(",")
         assert float(cells[10]) <= 1e-6   # angle error
         assert float(cells[11]) <= 1e-6   # residual
+        assert float(cells[12]) <= 1e-18  # leakage, the last column
 
     rc = cli.main(["covariance", "scenarios/covariance_kvh.cfg",
                    "--out", str(tmp_path / "c")])

@@ -100,7 +100,7 @@ def test_act_refuses_what_it_cannot_exponentiate():
 
 
 def test_weyl_phase_plain_representation_commutes():
-    ph, res = ga.weyl_phase(ga.boost(1.3, 0.0, "kvn"), ga.translation(0.7, "kvn"), W)
+    ph, res, _ = ga.weyl_phase(ga.boost(1.3, 0.0, "kvn"), ga.translation(0.7, "kvn"), W)
     assert abs(ph - 1.0) <= 1e-8
     assert res <= 1e-8
     assert ga.predicted_weyl_phase(ga.boost(1.3, 0.0, "kvn"),
@@ -109,7 +109,7 @@ def test_weyl_phase_plain_representation_commutes():
 
 def test_weyl_phase_projective_is_mass_times_area():
     g1, g2 = ga.boost(1.3, 0.0, "kvh"), ga.translation(0.7, "kvh")
-    ph, res = ga.weyl_phase(g1, g2, W)
+    ph, res, _ = ga.weyl_phase(g1, g2, W)
     assert res <= 1e-8
     assert np.angle(ph) == pytest.approx(0.91, abs=1e-10)
     pred = ga.predicted_weyl_phase(g1, g2)
@@ -118,8 +118,8 @@ def test_weyl_phase_projective_is_mass_times_area():
 
 def test_weyl_phase_product_identity():
     g1, g2 = ga.boost(0.9, 0.0, "kvh"), ga.translation(0.6, "kvh")
-    p12, _ = ga.weyl_phase(g1, g2, W)
-    p21, _ = ga.weyl_phase(g2, g1, W)
+    p12, _, _ = ga.weyl_phase(g1, g2, W)
+    p21, _, _ = ga.weyl_phase(g2, g1, W)
     assert abs(p12 * p21 - 1.0) <= 1e-8
 
 
@@ -127,7 +127,7 @@ def test_weyl_sweep_matches_prediction():
     for a in (0.5, 0.7, 0.9):
         for v in (1.1, 1.3, 1.5):
             g1, g2 = ga.boost(v, 0.0, "kvh"), ga.translation(a, "kvh")
-            ph, res = ga.weyl_phase(g1, g2, W)
+            ph, res, _ = ga.weyl_phase(g1, g2, W)
             assert res <= 1e-6
             pred = ga.predicted_weyl_phase(g1, g2)
             assert abs(np.angle(ph * np.conj(pred))) <= 1e-6
@@ -145,7 +145,7 @@ def test_weyl_phase_matches_prediction_property(formalism, m, a, mv, t):
     # commutator term
     v = mv / m
     g1, g2 = ga.boost(v, t, formalism, m), ga.translation(a, formalism, m)
-    ph, res = ga.weyl_phase(g1, g2, W)
+    ph, res, _ = ga.weyl_phase(g1, g2, W)
     assert res <= 1e-6
     pred = ga.predicted_weyl_phase(g1, g2)
     assert abs(np.angle(ph * np.conj(pred))) <= 1e-6
@@ -158,18 +158,35 @@ def test_noncentral_pair_is_rejected_and_measured():
     g2 = ga.free_time(0.5, "kvh")
     with pytest.raises(ValueError, match="central"):
         ga.predicted_weyl_phase(g1, g2)
-    _, res = ga.weyl_phase(g1, g2, W)
+    _, res, _ = ga.weyl_phase(g1, g2, W)
     assert res > 1e-6  # orderings differ by more than a global phase
+
+
+def test_leakage_tells_a_boundary_error_from_a_noncentral_one():
+    # the kvh boost's phase exp(i m v q) is not periodic over q, so a pair
+    # that moves amplitude onto the q boundary leaves a residual too; its
+    # leakage marks it, where a non-central pair leaks nothing
+    _, res, leak = ga.weyl_phase(ga.boost(3.0, 1.0, "kvh", 0.5), ga.translation(1.5, "kvh", 0.5), W)
+    assert res > 1e-3 and leak > 1e-5
+    _, res, leak = ga.weyl_phase(ga.boost(3.0, 1.0, "kvn", 0.5), ga.translation(1.5, "kvn", 0.5), W)
+    assert res <= 1e-12 and leak > 1e-5
+    _, res, leak = ga.weyl_phase(ga.boost(0.8, 0.0, "kvh"), ga.free_time(0.5, "kvh"), W)
+    assert res > 0.1 and leak <= 1e-18
+    for a, v in ((0.5, 1.1), (0.9, 1.5)):
+        _, res, leak = ga.weyl_phase(ga.boost(v, 0.0, "kvh"), ga.translation(a, "kvh"), W)
+        assert res <= 1e-10 and leak <= 1e-18
+    _, res, leak = ga.covariance_check("kvh", 1.0, 0.5, W)
+    assert res <= 1e-10 and leak <= 1e-18
 
 
 @pytest.mark.parametrize("formalism", ["kvn", "kvh"])
 def test_covariance_free_dynamics(formalism):
-    phase, residual = ga.covariance_check(formalism, 1.0, 0.5, W)
+    phase, residual, _ = ga.covariance_check(formalism, 1.0, 0.5, W)
     assert residual <= 1e-6
     assert abs(phase - 1.0) <= 1e-6
 
 
 def test_covariance_trivial_at_zero_velocity():
-    phase, residual = ga.covariance_check("kvh", 0.0, 0.5, W)
+    phase, residual, _ = ga.covariance_check("kvh", 0.0, 0.5, W)
     assert residual <= 1e-12
     assert abs(phase - 1.0) <= 1e-12

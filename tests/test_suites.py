@@ -163,19 +163,20 @@ widths = 3.0, 3.0
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
-    # numpy's FFT propagates; only the oracle's cubic interpolation
-    # imports scipy, and only when it runs
+    # numpy's FFT propagates and the oracle's cubic interpolation is
+    # numpy too, so neither a propagation nor its oracle imports scipy
     no_scipy = ("loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
                 "assert not loaded, loaded\n")
     _fresh_python("import sys\nimport koopman.cli\n" + no_scipy)
     cfg = tmp_path / "tiny.cfg"
-    cfg.write_text(_TINY_KVH)
+    cfg.write_text(_TINY_KVH + "[oracle]\ninterp = cubic\nflow_steps = 8\n")
     _fresh_python(
         "import sys\n"
         "from koopman import cli\n"
         f"assert cli.main(['evolve', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
         + no_scipy)
     assert (tmp_path / "out" / "run.csv").exists()
+    assert (tmp_path / "out" / "oracle.csv").exists()
 
 
 def test_exact_algebra_imports_without_numeric_stack():
