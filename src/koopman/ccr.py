@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .exactpoly import CPoly, GaussianRational, I, SymbolMismatch
+from .exactpoly import CPoly, GaussianRational, I, SymbolMismatch, _as_gr
 
 # (sector, kind, base name) in normal order: the multiplication operators,
 # then the derivative operators in the same order, so the i-th derivative
@@ -301,7 +301,7 @@ def normal_order(algebra: Algebra, word: tuple, coeff: CPoly) -> "NCPoly":
             if rx < rd:
                 lo = bisect_left(w, rd, key=key)
                 count = bisect_right(w, rd, lo=lo, key=key) - lo
-                if count:
+                if count:       # -i n is a GaussianRational: CPoly's scalar product
                     _add_term(acc, w[:lo] + w[lo + 1:], c * (-count * I))
     return NCPoly(algebra, acc)
 
@@ -366,7 +366,8 @@ class NCPoly:
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
-            coeff = self.algebra.coeff(other)
+            # a number scales every coefficient on CPoly's scalar path
+            coeff = self.algebra.coeff(other) if isinstance(other, CPoly) else _as_gr(other)
             return NCPoly(self.algebra, {w: c * coeff for w, c in self.terms.items()})
         other = self._coerce(other)
         return _sum(self.algebra, (

@@ -49,10 +49,7 @@ from .grid import (
     Wavefunction,
     _fft,
     _ifft,
-    apply_lambda,
-    inner_product,
     leakage,
-    norm,
 )
 
 class NumericalAbort(RuntimeError):
@@ -289,25 +286,45 @@ class RunRecord:
 
 
 def _observables(w: Wavefunction, plan: PropagatorPlan) -> dict:
-    nrm2 = inner_product(w, w).real
-    qn, pn, xn = (plan.grid.names(r) for r in ("q", "p", "x"))
-    dens = np.abs(w.values) ** 2 * plan.grid.cell_weight
-    q_mean = sum(float(np.sum(dens * plan.grid.coordinate(n))) for n in qn) / nrm2
-    p_mean = sum(float(np.sum(dens * plan.grid.coordinate(n))) for n in pn) / nrm2
-    energy = 0.0
-    for i, pname in enumerate(pn):
-        energy += float(np.sum(dens * plan.grid.coordinate(pname) ** 2)) \
-            / (2 * plan.masses[i]) / nrm2
-    Vg = plan.potential.values(plan.grid)
+    """One sample's row.  |psi|^2 is formed once; the q and p moments come
+    from its 1-D marginals, the potential energy from it summed over the
+    axes V does not depend on, and <k>, <k^2> from one forward FFT per x
+    axis (Parseval: sum |fft|^2 = points * sum |psi|^2)."""
+    grid = plan.grid
+    qn, pn, xn = (grid.names(r) for r in ("q", "p", "x"))
+    cw = grid.cell_weight
+
+    def squared_modulus(values):
+        out = np.abs(values)
+        out *= out
+        return out
+
+    def summed(a, keep):
+        """``a`` summed over every axis not in ``keep``, keeping dims."""
+        return a.sum(axis=tuple(i for i in range(a.ndim) if i not in keep), keepdims=True)
+
+    dens = squared_modulus(w.values)
+    nrm2 = float(np.sum(dens)) * cw
+    marginal = {n: summed(dens, {grid.index(n)}) for n in qn + pn}
+    mean = lambda n, f: float(np.sum(marginal[n] * f)) * cw / nrm2
+    q_mean = sum((mean(n, grid.coordinate(n)) for n in qn), 0.0)
+    p_mean = sum((mean(n, grid.coordinate(n)) for n in pn), 0.0)
+    energy = sum((mean(n, grid.coordinate(n) ** 2) / (2 * m)
+                  for n, m in zip(pn, plan.masses)), 0.0)
+    Vg = plan.potential.values(grid)
     if np.ndim(Vg):
-        energy += float(np.sum(dens * Vg)) / nrm2
+        on = {i for i, n in enumerate(Vg.shape) if n > 1}
+        energy += float(np.sum(summed(dens, on) * Vg)) * cw / nrm2
     k_mean = None
     if xn:
         k_mean = 0.0
-        for j, xname in enumerate(xn):
-            kw = apply_lambda(w, xname)
-            k_mean += inner_product(w, kw).real / nrm2
-            energy += norm(kw) ** 2 / (2 * plan.masses[len(pn) + j]) / nrm2
+        for xname, m in zip(xn, plan.masses[len(pn):]):
+            i = grid.index(xname)
+            power = summed(squared_modulus(_fft(w.values, (i,))), {i})
+            k = grid.wavenumber(xname)
+            scale = cw / grid.axis(xname).points / nrm2
+            k_mean += float(np.sum(power * k)) * scale
+            energy += float(np.sum(power * k ** 2)) * scale / (2 * m)
     return {
         "norm": float(np.sqrt(nrm2)),
         "q_mean": q_mean,

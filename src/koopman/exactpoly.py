@@ -17,13 +17,27 @@ monomial only.
 Polynomials are immutable; equality is structural (canonical form stores
 no zero coefficients), and rendering uses a graded-lexicographic term
 order so reports are deterministic.
+
+The public constructors ``GaussianRational(re, im)`` and
+``CPoly(symbols, terms)`` validate and canonicalise what they are given.
+Ring operations (``+``, ``-``, ``*``, ``/``, ``**``, ``partial``,
+``conjugate``) build their results through one trusted constructor per
+class instead, ``_gaussian`` and ``_cpoly``: their operands are
+canonical already, so a result only needs an integral Fraction part
+turned back into an int and no zero coefficient stored.  A scalar times
+a polynomial, and a product of two single-term polynomials, cannot
+cancel, so those products skip the zero check as well.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from operator import add
 from typing import Mapping
+
+_new = object.__new__
+_set = object.__setattr__
 
 
 def _rational(x):
@@ -51,26 +65,30 @@ class GaussianRational:
         return self.re == 0 and self.im == 0
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _gaussian(self.re, -self.im)
 
     def __add__(self, other):
+        if not isinstance(other, _NUMBERS):
+            return NotImplemented       # a polynomial operand takes over
         other = _as_gr(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        return _gaussian(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gaussian(-self.re, -self.im)
 
     def __sub__(self, other):
-        return self + (-_as_gr(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return _as_gr(other) + (-self)
 
     def __mul__(self, other):
+        if not isinstance(other, _NUMBERS):
+            return NotImplemented       # a polynomial operand takes over
         other = _as_gr(other)
-        return GaussianRational(
+        return _gaussian(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
@@ -82,7 +100,7 @@ class GaussianRational:
         d = other.re * other.re + other.im * other.im
         if d == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(  # through Fraction: int / int would round
+        return _gaussian(  # through Fraction: int / int would round
             Fraction(self.re * other.re + self.im * other.im, d),
             Fraction(self.im * other.re - self.re * other.im, d),
         )
@@ -91,7 +109,7 @@ class GaussianRational:
         return _as_gr(other) / self
 
     def __eq__(self, other):
-        if not isinstance(other, (GaussianRational, int, Fraction, float, complex)):
+        if not isinstance(other, _NUMBERS):
             return NotImplemented
         try:
             other = _as_gr(other)
@@ -125,6 +143,16 @@ class GaussianRational:
         return f"{frac(self.re)}{sign}{frac(abs(self.im))}i"
 
 
+def _gaussian(re, im) -> GaussianRational:
+    """The trusted constructor: ``re`` and ``im`` are exact ints or
+    Fractions, as ring arithmetic on canonical parts gives them; only a
+    Fraction n/1 is turned back into an int."""
+    g = _new(GaussianRational)
+    _set(g, "re", re if type(re) is int or re.denominator != 1 else re.numerator)
+    _set(g, "im", im if type(im) is int or im.denominator != 1 else im.numerator)
+    return g
+
+
 I = GaussianRational(0, 1)
 ONE = GaussianRational(1)
 ZERO = GaussianRational(0)
@@ -133,11 +161,17 @@ ZERO = GaussianRational(0)
 def _as_gr(x) -> GaussianRational:
     if isinstance(x, GaussianRational):
         return x
+    if type(x) is int or type(x) is Fraction:
+        return _gaussian(x, 0)
     if isinstance(x, (int, Fraction, float)):
         return GaussianRational(x)
     if isinstance(x, complex):
         return GaussianRational(x.real, x.imag)
     raise TypeError(f"cannot coerce {type(x).__name__} to GaussianRational")
+
+
+# the exact or float numbers that coerce to a GaussianRational
+_NUMBERS = (GaussianRational, int, Fraction, float, complex)
 
 
 class SymbolMismatch(ValueError):
@@ -162,8 +196,9 @@ class CPoly:
                 coeff = _as_gr(coeff)
                 if len(expo) != len(self.symbols):
                     raise ValueError("exponent tuple length != symbol count")
+                expo = tuple(_exponent(e) for e in expo)
                 if not coeff.is_zero:
-                    clean[tuple(int(e) for e in expo)] = coeff
+                    clean[expo] = coeff
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
@@ -173,10 +208,8 @@ class CPoly:
 
     @classmethod
     def constant(cls, symbols, value) -> "CPoly":
-        value = _as_gr(value)
-        if value.is_zero:
-            return cls(symbols)
-        return cls(symbols, {(0,) * len(tuple(symbols)): value})
+        symbols, value = tuple(symbols), _as_gr(value)
+        return _cpoly(symbols, {} if value.is_zero else {(0,) * len(symbols): value})
 
     @classmethod
     def variable(cls, symbols, name: str) -> "CPoly":
@@ -185,7 +218,7 @@ class CPoly:
             raise ValueError(f"unknown symbol {name!r}")
         expo = [0] * len(symbols)
         expo[symbols.index(name)] = 1
-        return cls(symbols, {tuple(expo): ONE})
+        return _cpoly(symbols, {tuple(expo): ONE})
 
     # -- predicates ------------------------------------------------------
 
@@ -223,12 +256,12 @@ class CPoly:
                 terms.pop(expo, None)
             else:
                 terms[expo] = s
-        return CPoly(self.symbols, terms)
+        return _cpoly(self.symbols, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CPoly(self.symbols, {e: -c for e, c in self.terms.items()})
+        return _cpoly(self.symbols, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -237,17 +270,28 @@ class CPoly:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, _NUMBERS):
+            other = _as_gr(other)
+            if other.is_zero:
+                return _cpoly(self.symbols, {})
+            # a nonzero scalar: no product of nonzero coefficients vanishes
+            return _cpoly(self.symbols, {e: c * other for e, c in self.terms.items()})
         other = self._coerce(other)
+        if len(self.terms) == 1 and len(other.terms) == 1:
+            # two monomials: one exponent sum and one coefficient product
+            (e1, c1), = self.terms.items()
+            (e2, c2), = other.terms.items()
+            return _cpoly(self.symbols, {tuple(map(add, e1, e2)): c1 * c2})
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
+                expo = tuple(map(add, e1, e2))
                 s = terms.get(expo, ZERO) + c1 * c2
                 if s.is_zero:
                     terms.pop(expo, None)
                 else:
                     terms[expo] = s
-        return CPoly(self.symbols, terms)
+        return _cpoly(self.symbols, terms)
 
     __rmul__ = __mul__
 
@@ -274,12 +318,12 @@ class CPoly:
                 tuple(a - b for a, b in zip(e, dexpo)): c / dcoeff
                 for e, c in self.terms.items()
             }
-            return CPoly(self.symbols, terms)
+            return _cpoly(self.symbols, terms)
         other = _as_gr(other)
-        return CPoly(self.symbols, {e: c / other for e, c in self.terms.items()})
+        return _cpoly(self.symbols, {e: c / other for e, c in self.terms.items()})
 
     def __eq__(self, other):
-        if isinstance(other, (GaussianRational, int, Fraction, float, complex)):
+        if isinstance(other, _NUMBERS):
             return not any(map(any, self.terms)) and self.constant_value() == other
         if not isinstance(other, CPoly):
             return NotImplemented
@@ -297,24 +341,15 @@ class CPoly:
         if name not in self.symbols:
             raise ValueError(f"unknown symbol {name!r}")
         idx = self.symbols.index(name)
-        terms: dict = {}
-        for expo, coeff in self.terms.items():
-            n = expo[idx]
-            if n == 0:
-                continue
-            new = list(expo)
-            new[idx] = n - 1
-            key = tuple(new)
-            s = terms.get(key, ZERO) + coeff * n
-            if s.is_zero:
-                terms.pop(key, None)
-            else:
-                terms[key] = s
-        return CPoly(self.symbols, terms)
+        # lowering one exponent maps distinct terms to distinct terms
+        return _cpoly(self.symbols, {
+            expo[:idx] + (n - 1,) + expo[idx + 1:]: coeff * n
+            for expo, coeff in self.terms.items() if (n := expo[idx])
+        })
 
     def conjugate(self) -> "CPoly":
         """Complex-conjugate coefficients; symbols are treated as real."""
-        return CPoly(self.symbols, {e: c.conjugate() for e, c in self.terms.items()})
+        return _cpoly(self.symbols, {e: c.conjugate() for e, c in self.terms.items()})
 
     def evaluate(self, bindings: Mapping[str, object]):
         """Evaluate with every symbol bound (see ``compile``).
@@ -382,6 +417,26 @@ class CPoly:
 
     def __repr__(self):
         return f"CPoly({self.render()})"
+
+
+def _cpoly(symbols: tuple, terms: dict) -> CPoly:
+    """The trusted constructor: ``terms`` maps exponent tuples of ints
+    over ``symbols`` to nonzero canonical coefficients, and the result
+    takes the dict over."""
+    p = _new(CPoly)
+    _set(p, "symbols", symbols)
+    _set(p, "terms", terms)
+    return p
+
+
+def _exponent(e) -> int:
+    try:
+        n = int(e)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != e:
+        raise ValueError(f"exponent {e!r} is not an integer")
+    return n
 
 
 def pair_potential(symbols: tuple, pairs) -> CPoly:

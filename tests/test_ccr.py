@@ -566,3 +566,33 @@ def test_algebra_pass_normal_orders_only_non_commuting_pairs(monkeypatch):
     calls.clear()
     assert q1.commutator(lam_q2).is_zero
     assert not calls
+
+
+def _assert_canonical(op):
+    """op equals its re-validation and stores no zero coefficient and no
+    Fraction n/1, in any of its central coefficients."""
+    revalidated = {w: CPoly(c.symbols, c.terms) for w, c in op.terms.items()}
+    assert op == ccr.NCPoly(op.algebra, revalidated)
+    for c in op.terms.values():
+        assert not c.is_zero
+        for g in c.terms.values():
+            assert not g.is_zero
+            for part in (g.re, g.im):
+                assert type(part) is (int if Fraction(part).denominator == 1 else Fraction)
+
+
+_halves = st.sampled_from([Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3), 2, 0, 0.5, 1j,
+                           GaussianRational(Fraction(1, 2), Fraction(-1, 2))])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_products_commutators_and_scalar_multiples_are_canonical(data):
+    alg = data.draw(st.sampled_from(_STANDARD))
+    # half-integer coefficients, so that products meet n/1 and cancel
+    a, b = (data.draw(symbolic_ncpolys(alg)) * data.draw(_halves) for _ in range(2))
+    scalar, s = data.draw(_halves), data.draw(central_coeffs(alg))
+    for op in (a * b, b * a, a.commutator(b), a.commutator(a * 2 + b), -a, a - a,
+               a * scalar, scalar * a, a * s, a * (s * Fraction(1, 2)), a + scalar,
+               a.adjoint()):
+        _assert_canonical(op)

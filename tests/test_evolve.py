@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koopman import evolve as ev
-from koopman.grid import Axis, GridSpec, Wavefunction, gaussian_init, norm
+from koopman.grid import (Axis, GridSpec, Wavefunction, apply_lambda, gaussian_init,
+                          inner_product, leakage, norm)
 
 
 def make_grid(axes="qp", n=128, lo=-8.0, ext=16.0):
@@ -306,3 +307,70 @@ def test_run_record_csv(tmp_path):
     assert lines[0] == "t,norm,q_mean,p_mean,k_mean,energy,im_max,leakage"
     assert len(lines) == 4  # header + t=0 + 2 samples
     assert lines[1].split(",")[4] == ""  # k_mean empty on classical grids
+
+
+def _full_grid_observables(w, plan):
+    """The sampled observables by their full-grid definitions: density
+    times coordinate over the whole grid, and <k> and <k^2> through the
+    spectral derivative (the oracle for evolve's marginal reductions)."""
+    grid = plan.grid
+    qn, pn, xn = (grid.names(r) for r in ("q", "p", "x"))
+    nrm2 = inner_product(w, w).real
+    dens = np.abs(w.values) ** 2 * grid.cell_weight
+    out = {"norm": np.sqrt(nrm2),
+           "q_mean": sum(np.sum(dens * grid.coordinate(n)) for n in qn) / nrm2,
+           "p_mean": sum(np.sum(dens * grid.coordinate(n)) for n in pn) / nrm2,
+           "k_mean": None,
+           "im_max": np.max(np.abs(w.values.imag)), "leakage": leakage(w)}
+    energy = sum(np.sum(dens * grid.coordinate(n) ** 2) / (2 * m)
+                 for n, m in zip(pn, plan.masses)) / nrm2
+    energy += np.sum(dens * plan.potential.values(grid)) / nrm2
+    if xn:
+        out["k_mean"] = 0.0
+        for xname, m in zip(xn, plan.masses[len(pn):]):
+            kw = apply_lambda(w, xname)
+            out["k_mean"] += inner_product(w, kw).real / nrm2
+            energy += norm(kw) ** 2 / (2 * m) / nrm2
+    out["energy"] = energy
+    return out
+
+
+@st.composite
+def sampled_states(draw):
+    """A plan and a random state on a 2-D kvh, 3-D hybrid or 8^4 grid."""
+    layout = draw(st.sampled_from(["kvh2", "hybrid3", "pair4"]))
+    names, formalism, kind = {
+        "kvh2": (("q", "p"), "kvh", draw(st.sampled_from(["free", "harmonic", "quartic"]))),
+        "hybrid3": (("q", "p", "x"), "hybrid", draw(st.sampled_from(["free", "hybrid_pair"]))),
+        "pair4": (("q1", "q2", "p1", "p2"), draw(st.sampled_from(["kvn", "kvh"])), "pair"),
+    }[layout]
+    points = 8 if layout == "pair4" else draw(st.sampled_from([8, 16, 32]))
+    g = GridSpec(tuple(Axis(n, draw(st.floats(-9.0, 1.0)), draw(st.floats(2.0, 18.0)), points)
+                       for n in names))
+    masses = [draw(st.floats(0.2, 5.0)) for n in names if n[0] in "qx"]
+    pot = ev.make_potential(kind, g, {"kappa": draw(st.floats(0.1, 3.0)), "alpha": 0.5})
+    plan = ev.build_plan(g, formalism, masses, pot, 1e-3)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    return plan, Wavefunction(g, values * draw(st.floats(0.1, 10.0)))
+
+
+@pytest.mark.filterwarnings("ignore:dt=.*wrap:RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(sampled_states())
+def test_observables_match_full_grid_definitions(case):
+    plan, w = case
+    got, want = ev._observables(w, plan), _full_grid_observables(w, plan)
+    assert set(got) == set(want)
+    grid = plan.grid
+    # means are relative to the largest coordinate, since they may cancel
+    scale = {"q_mean": sum(np.max(np.abs(grid.coordinate(n))) for n in grid.names("q")),
+             "p_mean": sum(np.max(np.abs(grid.coordinate(n))) for n in grid.names("p")),
+             "k_mean": sum(np.max(np.abs(grid.wavenumber(n))) for n in grid.names("x"))}
+    for key in ("norm", "q_mean", "p_mean", "k_mean", "energy"):
+        if want[key] is None:
+            assert got[key] is None
+            continue
+        assert isinstance(got[key], float)
+        assert abs(got[key] - want[key]) <= 1e-12 * scale.get(key, abs(want[key]))
+    assert got["im_max"] == want["im_max"] and got["leakage"] == want["leakage"]

@@ -430,3 +430,72 @@ def test_power_and_immutability():
         q ** -1
     with pytest.raises(AttributeError):
         q.terms = {}
+
+
+def test_non_integral_exponents_are_rejected():
+    with pytest.raises(ValueError, match=r"^exponent 1\.5 is not an integer$"):
+        CPoly(("q",), {(1.5,): 1})
+    with pytest.raises(ValueError, match="not an integer"):
+        CPoly(("q", "p"), {(1, Fraction(1, 2)): 1})
+    with pytest.raises(ValueError, match="not an integer"):
+        CPoly(("q",), {(float("nan"),): 1})
+    with pytest.raises(ValueError, match="not an integer"):     # also under a zero
+        CPoly(("q",), {(0.5,): 0})
+    # integral values of other types are still accepted, as ints
+    poly = CPoly(("q", "p"), {(2.0, np.int64(-1)): 1})
+    assert poly.render() == "(1/1)*q^2*p^-1"
+    assert all(type(e) is int for expo in poly.terms for e in expo)
+
+
+_SYMBOLS = ("q", "p", "m")
+_coefficients = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+    st.builds(complex, st.integers(-8, 8).map(lambda k: k / 4),
+              st.integers(-8, 8).map(lambda k: k / 4)),
+)
+_exponents = st.tuples(*(st.integers(-2, 3) for _ in _SYMBOLS))
+
+
+def _laurent(min_size=0, max_size=4):
+    return st.dictionaries(_exponents, _coefficients, min_size=min_size,
+                           max_size=max_size).map(lambda t: CPoly(_SYMBOLS, t))
+
+
+def _assert_canonical(r: CPoly) -> None:
+    """What the public constructor would make of r's terms is r itself:
+    int exponents, no zero coefficient, no Fraction n/1."""
+    assert r == CPoly(r.symbols, r.terms)
+    for expo, c in r.terms.items():
+        assert all(type(e) is int for e in expo)
+        assert not c.is_zero
+        assert _canonical(c.re) and _canonical(c.im)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_laurent(), _laurent(), _laurent(1, 1), _laurent(1, 1),
+       st.sampled_from([2, -3, Fraction(1, 2), Fraction(-4, 3), 0.25, 2j, 1 - 0.5j, 0,
+                        GaussianRational(Fraction(1, 2), Fraction(-1, 2))]),
+       st.data())
+def test_ring_results_are_canonical(a, b, m, m2, scalar, data):
+    # sums that cancel: b is often a's negative plus a little, or a rescaled
+    b = data.draw(st.sampled_from([b, b - a, a * Fraction(-1, 2), a.conjugate() - a]))
+    results = [a + b, a - b, -a, a * b, b * a, a * scalar, scalar * a, a + scalar,
+               scalar - a, a * m, m * a, m * m2, a ** 2, m ** 3, (a + m) ** 3,
+               a.partial("q"), a.partial("m"), b.partial("p"), a.conjugate(), m.conjugate()]
+    if scalar != 0:
+        results.append(a / scalar)
+    if not m.is_zero:
+        results += [a / m, b / m, m2 / m]
+    for r in results:
+        _assert_canonical(r)
+
+
+def test_gaussian_rational_operators_defer_to_polynomials():
+    q = ring("q")["q"]
+    half = GaussianRational(Fraction(1, 2), 1)
+    assert half * q == q * half
+    assert half + q == q + half
+    assert half - q == -(q - half)
+    with pytest.raises(TypeError):
+        half / q
