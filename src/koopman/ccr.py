@@ -29,10 +29,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .exactpoly import CPoly, GaussianRational, I, SymbolMismatch, _as_gr
+from .exactpoly import _NUMBERS, CPoly, GaussianRational, I, SymbolMismatch, _as_gr
 
 # (sector, kind, base name) in normal order: the multiplication operators,
 # then the derivative operators in the same order, so the i-th derivative
@@ -321,7 +320,7 @@ def _sum(algebra: Algebra, parts: Iterable["NCPoly"]) -> "NCPoly":
 
 
 # what multiplies an NCPoly as a central coefficient, converted exactly
-_SCALARS = (CPoly, GaussianRational, int, Fraction, float, complex)
+_SCALARS = (CPoly,) + _NUMBERS
 
 
 class NCPoly:

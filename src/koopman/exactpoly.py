@@ -25,8 +25,8 @@ Ring operations (``+``, ``-``, ``*``, ``/``, ``**``, ``partial``,
 class instead, ``_gaussian`` and ``_cpoly``: their operands are
 canonical already, so a result only needs an integral Fraction part
 turned back into an int and no zero coefficient stored.  A scalar times
-a polynomial, and a product of two single-term polynomials, cannot
-cancel, so those products skip the zero check as well.
+a polynomial cannot cancel, so that product skips the zero check, and a
+product of polynomials checks only where two terms land on one exponent.
 """
 
 from __future__ import annotations
@@ -161,8 +161,6 @@ ZERO = GaussianRational(0)
 def _as_gr(x) -> GaussianRational:
     if isinstance(x, GaussianRational):
         return x
-    if type(x) is int or type(x) is Fraction:
-        return _gaussian(x, 0)
     if isinstance(x, (int, Fraction, float)):
         return GaussianRational(x)
     if isinstance(x, complex):
@@ -277,20 +275,19 @@ class CPoly:
             # a nonzero scalar: no product of nonzero coefficients vanishes
             return _cpoly(self.symbols, {e: c * other for e, c in self.terms.items()})
         other = self._coerce(other)
-        if len(self.terms) == 1 and len(other.terms) == 1:
-            # two monomials: one exponent sum and one coefficient product
-            (e1, c1), = self.terms.items()
-            (e2, c2), = other.terms.items()
-            return _cpoly(self.symbols, {tuple(map(add, e1, e2)): c1 * c2})
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 expo = tuple(map(add, e1, e2))
-                s = terms.get(expo, ZERO) + c1 * c2
-                if s.is_zero:
-                    terms.pop(expo, None)
+                prev = terms.get(expo)
+                if prev is None:    # a product of nonzero coefficients is nonzero
+                    terms[expo] = c1 * c2
                 else:
-                    terms[expo] = s
+                    s = prev + c1 * c2
+                    if s.is_zero:
+                        del terms[expo]
+                    else:
+                        terms[expo] = s
         return _cpoly(self.symbols, terms)
 
     __rmul__ = __mul__

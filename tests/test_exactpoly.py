@@ -480,7 +480,9 @@ def _assert_canonical(r: CPoly) -> None:
 def test_ring_results_are_canonical(a, b, m, m2, scalar, data):
     # sums that cancel: b is often a's negative plus a little, or a rescaled
     b = data.draw(st.sampled_from([b, b - a, a * Fraction(-1, 2), a.conjugate() - a]))
-    results = [a + b, a - b, -a, a * b, b * a, a * scalar, scalar * a, a + scalar,
+    # products that cancel: the cross terms of (a + m)(a - m) meet and vanish
+    results = [a + b, a - b, -a, a * b, b * a, (a + m) * (a - m), (a - b) * (b + a),
+               a * scalar, scalar * a, a + scalar,
                scalar - a, a * m, m * a, m * m2, a ** 2, m ** 3, (a + m) ** 3,
                a.partial("q"), a.partial("m"), b.partial("p"), a.conjugate(), m.conjugate()]
     if scalar != 0:
