@@ -2,9 +2,21 @@
 
 A grid is an ordered tensor product of periodic axes.  The first letter
 of an axis name is its role: q and p are classical phase-space
-coordinates, x is a quantum position.  Amplitudes are dense complex arrays in row-major layout with
-the axes in declaration order (the last declared axis is innermost), and
-the integration measure is the product of the spacings.
+coordinates, x is a quantum position.  Amplitudes are dense complex
+arrays with the axes in declaration order (the last declared axis is
+innermost), and the integration measure is the product of the spacings.
+
+Arrays the spectral layer owns (the output of a transform that does not
+overwrite its input, and so the buffer ``evolve.run`` steps in place,
+and the flow factors) are padded: each is the leading grid-shaped view
+of a zero array one element longer on every axis except the first and
+broadcast axes of length 1, e.g. 64 x 65 x 65 for a 64^3 grid.  With
+power-of-two points every plain stride would be a power of two, so the
+elements of one strided FFT line would share a few cache sets; padded,
+every stride is an odd multiple of 16 bytes.  numpy copies each FFT line
+into its own buffer, so results are bit-identical to a contiguous
+layout.  Products of two padded arrays run over the whole padded
+storage in one contiguous pass; the zero padding only meets padding.
 
 Multiplication operators act pointwise; the derivative operators
 (-i d/dq, -i d/dp, -i d/dx) act spectrally: transform along one axis,
@@ -51,13 +63,55 @@ def set_fft_workers(n: int) -> None:
         _pool = ThreadPoolExecutor(n)
 
 
+def _padded_shape(shape):
+    return tuple(shape[:1]) + tuple(n + (n > 1) for n in shape[1:])
+
+
+def _zeros(shape):
+    """A complex zero array of ``shape`` in the padded layout (see the
+    module docstring)."""
+    return np.zeros(_padded_shape(shape), np.complex128)[tuple(map(slice, shape)) + (...,)]
+
+
+def _copy(values):
+    """``values`` copied into the padded layout."""
+    out = _zeros(values.shape)
+    out[...] = values
+    return out
+
+
+def _exp(z):
+    """exp(z) written straight into the padded layout."""
+    return np.exp(z, out=_zeros(np.shape(z)))
+
+
+def _storage(a):
+    """The padded array behind ``a`` if ``a`` is its leading view, else None."""
+    base = a.base
+    if (isinstance(base, np.ndarray) and base.dtype == a.dtype
+            and base.shape == _padded_shape(a.shape) and base.strides == a.strides
+            and base.flags.c_contiguous and base.ctypes.data == a.ctypes.data):
+        return base
+    return None
+
+
+def _multiply(values, factor):
+    """``values *= factor``: one contiguous pass over the padded storage
+    when both are in the padded layout, else through the views."""
+    a, b = _storage(values), _storage(factor)
+    if a is None or b is None:
+        a, b = values, factor
+    a *= b
+
+
 def _transform(fn, values, axes, overwrite):
     """numpy's ``fn`` (fftn or ifftn) over ``axes`` reversed, which matches
     scipy.fft bit for bit, into one buffer: ``values`` with ``overwrite``,
-    else one new array.  With workers, each thread transforms one slab of
-    the first untransformed axis, so every line's arithmetic is the same."""
+    else one new padded array.  With workers, each thread transforms one
+    slab of the first untransformed axis, so every line's arithmetic is
+    the same."""
     axes = tuple(axes)[::-1]
-    out = values if overwrite else np.empty_like(values)
+    out = values if overwrite else _zeros(values.shape)
     rest = [i for i in range(values.ndim) if i not in axes]
     if _pool is None or not rest:
         return fn(values, axes=axes, out=out)
@@ -189,17 +243,6 @@ def inner_product(a: Wavefunction, b: Wavefunction) -> complex:
 
 def norm(w: Wavefunction) -> float:
     return float(np.sqrt(np.sum(np.abs(w.values) ** 2) * w.grid.cell_weight))
-
-
-# ---------------------------------------------------------------------------
-# primitive operators
-# ---------------------------------------------------------------------------
-
-def apply_lambda(w: Wavefunction, name: str) -> Wavefunction:
-    """-i d/d(axis): spectral derivative along one axis."""
-    i = w.grid.index(name)
-    k = w.grid.wavenumber(name)
-    return Wavefunction(w.grid, _ifft(k * _fft(w.values, (i,)), (i,)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from koopman import evolve as ev
-from koopman.grid import (Axis, GridSpec, Wavefunction, apply_lambda, gaussian_init,
-                          inner_product, leakage, norm)
+from koopman.grid import (Axis, GridSpec, Wavefunction, _storage, dump_state, gaussian_init,
+                          inner_product, leakage, load_state, norm, set_fft_workers)
 
 
 def make_grid(axes="qp", n=128, lo=-8.0, ext=16.0):
@@ -328,7 +330,9 @@ def _full_grid_observables(w, plan):
     if xn:
         out["k_mean"] = 0.0
         for xname, m in zip(xn, plan.masses[len(pn):]):
-            kw = apply_lambda(w, xname)
+            i = grid.index(xname)
+            kw = Wavefunction(grid, np.fft.ifft(
+                grid.wavenumber(xname) * np.fft.fft(w.values, axis=i), axis=i))
             out["k_mean"] += inner_product(w, kw).real / nrm2
             energy += norm(kw) ** 2 / (2 * m) / nrm2
     out["energy"] = energy
@@ -374,3 +378,95 @@ def test_observables_match_full_grid_definitions(case):
         assert isinstance(got[key], float)
         assert abs(got[key] - want[key]) <= 1e-12 * scale.get(key, abs(want[key]))
     assert got["im_max"] == want["im_max"] and got["leakage"] == want["leakage"]
+
+
+def _reference_step(values, plan, lead, trail):
+    """evolve.step on contiguous arrays: np.fft over the axes reversed and
+    a new product with each factor's grid-shaped view."""
+    flows = plan.substeps
+    if len(flows) == 3:
+        flows = (plan._a[lead], flows[1], plan._a[trail])
+    for flow in filter(None, flows):
+        axes = flow.axes[::-1]
+        if axes:
+            values = np.fft.fftn(values, axes=axes)
+        for f in flow.factors:
+            values = values * f
+        if axes:
+            values = np.fft.ifftn(values, axes=axes)
+    return values
+
+
+def _reference_run(w0, plan, nsteps, sample_every):
+    """evolve.run's fused schedule over _reference_step: (rows, final values)."""
+    record = ev.RunRecord()
+    record.append(t=0.0, **ev._observables(w0, plan))
+    values, lead = w0.values, 0.5
+    for n in range(1, nsteps + 1):
+        sampled = n % sample_every == 0 or n == nsteps
+        trail = 0.5 if sampled else 0.0
+        values = _reference_step(values, plan, lead, trail)
+        lead = 1.0 - trail
+        if sampled:
+            record.append(t=n * plan.dt,
+                          **ev._observables(Wavefunction(plan.grid, values), plan))
+    return record.rows, values
+
+
+@st.composite
+def layout_cases(draw):
+    """A plan on a small 2-D kvh, 3-D hybrid or 4-D pair grid (8-32
+    points per axis), a random state, step weights, ``overwrite``, an FFT
+    worker count and a run schedule."""
+    names, formalism, kinds = draw(st.sampled_from([
+        (("q", "p"), "kvh", ("free", "harmonic", "quartic")),
+        (("q", "p", "x"), "hybrid", ("free", "hybrid_pair")),
+        (("q1", "q2", "p1", "p2"), "kvn", ("pair",)),
+        (("q1", "q2", "p1", "p2"), "kvh", ("pair",)),
+    ]))
+    points = [draw(st.sampled_from([8, 16, 32])) for _ in names]
+    assume(math.prod(points) <= 2 ** 15)
+    g = GridSpec(tuple(Axis(n, -8.0, 16.0, k) for n, k in zip(names, points)))
+    interaction = draw(st.sampled_from(
+        ("full",) if formalism == "kvn" else ("full", "potential_only")))
+    masses = [1.0] * sum(n[0] in "qx" for n in names)
+    plan = ev.build_plan(g, formalism, masses, ev.make_potential(draw(st.sampled_from(kinds)), g),
+                         0.01, interaction)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    w = Wavefunction(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+    weights = st.sampled_from([0.0, 0.5, 1.0])
+    return (plan, w, draw(weights), draw(weights), draw(st.booleans()),
+            draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+
+
+@pytest.mark.filterwarnings("ignore:dt=.*wrap:RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(case=layout_cases())
+def test_padded_layout_matches_contiguous_reference(case, tmp_path_factory):
+    plan, w, lead, trail, overwrite, workers, nsteps, sample_every = case
+    # every factor is the leading view of padded storage whose padding is zero
+    for flow in filter(None, (*plan.substeps, *plan._a.values())):
+        for f in flow.factors:
+            assert np.count_nonzero(_storage(f)) == f.size
+    set_fft_workers(workers)
+    try:
+        # a caller's own contiguous array with overwrite, else a new padded buffer
+        start = w.values.copy()
+        got = ev.step(Wavefunction(w.grid, start.copy()) if overwrite else w, plan,
+                      lead, trail, overwrite)
+        assert np.array_equal(got.values, _reference_step(start, plan, lead, trail))
+        assert np.array_equal(w.values, start)
+        record, final = ev.run(w, plan, nsteps * plan.dt, sample_every)
+    finally:
+        set_fft_workers(1)
+    rows, values = _reference_run(w, plan, nsteps, sample_every)
+    assert np.array_equal(final.values, values)
+    assert record.rows == rows
+    # the run's buffer kept its padding zero
+    assert np.count_nonzero(_storage(final.values)) == np.count_nonzero(final.values)
+    # a dump holds the grid-shaped amplitudes alone and reads back exactly
+    path = tmp_path_factory.mktemp("layout")
+    dump_state(final, path / "padded.kvhw")
+    dump_state(Wavefunction(final.grid, np.ascontiguousarray(final.values)), path / "plain.kvhw")
+    assert (path / "padded.kvhw").read_bytes() == (path / "plain.kvhw").read_bytes()
+    assert np.array_equal(load_state(path / "padded.kvhw").values, final.values)

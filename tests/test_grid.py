@@ -6,10 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koopman.grid import (
-    Axis, GridSpec, Wavefunction, _fft, _ifft, apply_lambda, dump_state,
-    gaussian_init, inner_product, leakage, load_state, norm, phase_mask,
-    set_fft_workers,
+    Axis, GridSpec, Wavefunction, _fft, _ifft, dump_state, gaussian_init,
+    inner_product, leakage, load_state, norm, phase_mask, set_fft_workers,
 )
+
+
+def apply_lambda(w: Wavefunction, name: str) -> Wavefunction:
+    """-i d/d(axis): spectral derivative along one axis."""
+    i = w.grid.index(name)
+    k = w.grid.wavenumber(name)
+    return Wavefunction(w.grid, _ifft(k * _fft(w.values, (i,)), (i,)))
 
 
 def make_grid(n=64, lo=-8.0, ext=16.0, axes="qp"):
