@@ -81,7 +81,7 @@ _SCHEMA = {
         "kappa": _float, "alpha": _float, "dt": _float, "t_final": _float,
         "sample_every": int, "interaction": str,
     },
-    "initial": {"centers": _floats, "widths": _floats, "phase": str},
+    "initial": {"centers": _floats, "widths": _floats},
     "transform": {"kind": str, "sweep_a": _floats, "sweep_v": _floats},
     "oracle": {"flow_steps": int, "interp": str},   # reference_solution's keywords
     "output": {"dir": str, "dump_state": lambda s: s.lower() in ("1", "true", "yes")},
@@ -203,9 +203,8 @@ def build_grid(sc: Scenario) -> GridSpec:
 def build_initial(sc: Scenario, grid: GridSpec) -> Wavefunction:
     centers = sc.require("initial", "centers")
     widths = sc.require("initial", "widths")
-    phase = sc.get("initial", "phase", "none")
     with _config_errors("[initial]"):
-        return gaussian_init(grid, centers, widths, phase)
+        return gaussian_init(grid, centers, widths)
 
 
 def build_plan_from(sc: Scenario, grid: GridSpec) -> ev.PropagatorPlan:

@@ -1,12 +1,16 @@
 """Split-step spectral propagators for phase-space wavefunctions.
 
-The generator splits as H = T + V; the projective rule f - p df/dp
-makes each part one exact flow, a pointwise phase after one fftn:
+The generator splits as H = T + V, and each part is one exact flow: the
+formalism's assignment rule (``ccr.Algebra.apply_rule``) applied to it,
+with the masses, dt and constants folded in as exact fractions, and
+turned into FFT axes and pointwise factors by ``flow_of``:
 
-  A (T part)  stream q by p tau/m, times exp(+i tau p^2/2m) in kvh and
-              hybrid, times exp(-i tau k^2/2m) on x (q- and x-spectral)
-  B (V part)  kick p by -dV/dq tau, times exp(-i tau V) in kvh and
-              hybrid (p-spectral; a plain multiplication without a kick)
+  A(tau) = exp(-i tau rule(sum p^2/2m + sum k^2/2m))   (q- and x-spectral)
+  B(dt)  = exp(-i dt rule(V))                          (p-spectral)
+
+A streams q by p tau/m and B kicks p by -dV/dq dt; in kvh and hybrid
+the rule's scalar f - p df/dp adds exp(+i tau p^2/2m) and exp(-i dt V),
+and on x it is the multiplication by exp(-i tau k^2/2m).
 
 A plan is a flat list of flows (FFT axes and multiplier factors); a
 step is the palindromic A(dt/2) B(dt) A(dt/2) (Strang, second order),
@@ -41,13 +45,16 @@ coarse 32^4 grid (leakage 1e-6) does not depend on the splitting.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .exactpoly import CPoly, pair_potential
+from . import ccr
+from .exactpoly import CPoly, I, pair_potential
 from .grid import (
     GridSpec,
     Wavefunction,
@@ -77,23 +84,10 @@ class Potential:
     cpoly: CPoly | None          # None for free
     constants: dict
 
-    def bindings(self, grid: GridSpec) -> dict:
-        out = dict(grid.coordinate_bindings())
-        out.update(self.constants)
-        return out
-
     def values(self, grid: GridSpec) -> np.ndarray | float:
         if self.cpoly is None:
             return 0.0
-        return self.cpoly.evaluate(self.bindings(grid)).real
-
-    def force_fields(self, grid: GridSpec) -> dict:
-        """-dV/dq per q axis (the kick shifts p by force * dt)."""
-        out = {}
-        for qname in grid.names("q"):
-            d = None if self.cpoly is None else self.cpoly.partial(qname)
-            out[qname] = 0.0 if d is None or d.is_zero else -d.evaluate(self.bindings(grid)).real
-        return out
+        return self.cpoly.evaluate({**grid.coordinate_bindings(), **self.constants}).real
 
 
 def make_potential(kind: str, grid: GridSpec, constants: Mapping | None = None) -> Potential:
@@ -141,9 +135,9 @@ def make_potential(kind: str, grid: GridSpec, constants: Mapping | None = None) 
 class Flow:
     """One exact flow: fftn over ``axes``, multiply by each of ``factors``
     (kept in their broadcast shapes), ifftn back.  Without axes the
-    factors multiply in physical space.  Factors that ``free_flow`` and
-    ``build_plan`` make are in grid's padded layout, so each multiply of
-    a padded state is one contiguous pass (``grid._multiply``)."""
+    factors multiply in physical space.  Factors that ``flow_of`` makes
+    are in grid's padded layout, so each multiply of a padded state is
+    one contiguous pass (``grid._multiply``)."""
     axes: tuple
     factors: tuple = field(repr=False)
 
@@ -159,22 +153,74 @@ class Flow:
         return _ifft(out, self.axes, True) if self.axes else out
 
 
-def free_flow(grid: GridSpec, formalism: str, masses: Sequence[float],
-              tau: float) -> Flow:
-    """Flow A over time tau: stream each q by p tau/m, times
-    exp(+i tau p^2/2m) in kvh and hybrid, times exp(-i tau k^2/2m) on
-    each x axis; one factor per (q, p) pair and one per x axis."""
-    qn, pn, xn = grid.names("q"), grid.names("p"), grid.names("x")
+def _letters(alg: ccr.Algebra, grid: GridSpec) -> dict:
+    """Each generator of ``alg`` as (grid axis index, values on the grid):
+    the multiplication letters, q then p then x in normal order, take the
+    grid's axes of their role in order, and each derivative letter the
+    axis of its conjugate, with its wavenumbers."""
+    mult = alg.generators[:len(alg.generators) // 2]
+    names = grid.names("q") + grid.names("p") + grid.names("x")
+    if [alg.name(g)[0] for g in mult] != [n[0] for n in names]:
+        raise ValueError("the grid's axes do not match the exponent's particle layout")
+    out = {}
+    for g, n in zip(mult, names):
+        out[g] = grid.index(n), grid.coordinate(n)
+        out[alg.conjugate[g]] = grid.index(n), grid.wavenumber(n)
+    return out
+
+
+def _value(word, c, letters):
+    """c times the word on the grid."""
+    return math.prod((letters[g][1] for g in word), start=complex(c.constant_value()))
+
+
+def _factors(terms: dict, letters: dict, shape: tuple) -> tuple:
+    """exp of the sum of ``terms``: one factor per group of terms joined
+    through shared axes, in the group's broadcast shape, with each term
+    summed in place; a constant joins the group that appears first."""
+    axes_of = [(frozenset(letters[g][0] for g in w), w, c) for w, c in terms.items()]
+    groups = []
+    for axes, _, _ in axes_of:
+        if axes:
+            groups = [a for a in groups if not a & axes] + [
+                axes.union(*(a for a in groups if a & axes))]
+    first = lambda group: min(i for i, (axes, _, _) in enumerate(axes_of) if axes & group)
     factors = []
-    for (qname, pname), m in zip(zip(qn, pn), masses):
-        p = grid.coordinate(pname)
-        expo = grid.wavenumber(qname) * p / m
-        if formalism in ("kvh", "hybrid"):
-            expo = expo - p ** 2 / (2 * m)
-        factors.append(_exp(-1j * tau * expo))
-    for xname, m in zip(xn, masses[len(qn):]):
-        factors.append(_exp(-1j * tau * grid.wavenumber(xname) ** 2 / (2 * m)))
-    return Flow(tuple(grid.index(n) for n in qn + xn), tuple(factors))
+    for n, group in enumerate(sorted(groups, key=first) or [frozenset()]):
+        acc = np.zeros([k if i in group else 1 for i, k in enumerate(shape)], np.complex128)
+        for axes, w, c in axes_of:
+            if axes <= group and (axes or n == 0):
+                acc += _value(w, c, letters)
+        factors.append(_exp(acc))
+    return tuple(factors)
+
+
+def flow_of(x: ccr.NCPoly, grid: GridSpec) -> tuple:
+    """The flows whose product is e^X on the grid, for an exact operator X
+    with its parameters folded in.  The axes of X's derivative letters
+    move; the terms D with no multiplication letter on a moved axis are
+    diagonal once those axes are transformed, and the rest, M, must be
+    multiplications with a central [D, M]: e^X = e^(M + [D, M]/2) e^D,
+    one flow over the moved axes and, unless M = 0, a multiplication."""
+    alg = x.algebra
+    letters = _letters(alg, grid)
+    derivative = set(alg.generators[len(alg.generators) // 2:])
+    moved = sorted({letters[g][0] for w in x.terms for g in w if g in derivative})
+    in_m = lambda w: any(letters[g][0] in moved and g not in derivative for g in w)
+    d = {w: c for w, c in x.terms.items() if not in_m(w)}
+    m = ccr.NCPoly(alg, {w: c for w, c in x.terms.items() if in_m(w)})
+    if any(not derivative.isdisjoint(w) for w in m.terms):
+        raise ValueError("exponent has no exact grid flow: a term multiplies "
+                         "and differentiates along its moved axes")
+    bracket = ccr.NCPoly(alg, d).commutator(m)
+    if not bracket.is_central():
+        raise ValueError("exponent has no exact grid flow: its diagonal and "
+                         "multiplication parts do not have a central commutator")
+    flows = (Flow(tuple(moved), _factors(d, letters, grid.shape)),)
+    if m.is_zero:
+        return flows
+    return flows + (Flow((), _factors((m + bracket * Fraction(1, 2)).terms, letters,
+                                      grid.shape)),)
 
 
 @dataclass
@@ -193,10 +239,12 @@ class PropagatorPlan:
 def build_plan(grid: GridSpec, formalism: str, masses: Sequence[float],
                potential: Potential, dt: float,
                interaction: str = "full") -> PropagatorPlan:
-    """``interaction = "potential_only"`` drops the kick from B, leaving
-    the multiplication by exp(-i dt V): the negative control of the
-    hybrid momentum exchange.  kvn has no such factor, so it refuses the
-    mode."""
+    """The flows A and B of the module docstring, on the algebra of the
+    grid's layout: one 1-D classical particle per (q, p) pair and one
+    quantum particle per x axis.  ``interaction = "potential_only"`` keeps
+    only B's terms without a derivative letter, the multiplication by
+    exp(-i dt V): the negative control of the hybrid momentum exchange.
+    kvn has no such term, so it refuses the mode."""
     if formalism not in ("kvn", "kvh", "hybrid"):
         raise ValueError(f"unknown formalism {formalism!r}")
     if interaction not in ("full", "potential_only"):
@@ -218,35 +266,45 @@ def build_plan(grid: GridSpec, formalism: str, masses: Sequence[float],
     if not 0 < dt < np.inf:
         raise ValueError("dt must be positive and finite")
 
+    alg = ccr.Algebra([ccr.ParticleSpec("classical", 1, "m")] * len(qn)
+                      + [ccr.ParticleSpec("quantum", 1, "m")] * len(xn))
+    letters = _letters(alg, grid)
+    letter = dict(zip(qn + pn + xn, alg.generators))    # q, p and x lead the normal order
+    obs = lambda g: alg.observable(alg.name(g))
+    momenta = [letter[n] for n in pn] + [alg.conjugate[letter[n]] for n in xn]
+    T = sum((obs(g) ** 2 / (2 * Fraction(m)) for g, m in zip(momenta, masses)), 0)
+    exponent = lambda f, tau: alg.apply_rule(f, formalism) * (-I * Fraction(tau))
+
+    # H = T + V(q, x) multiplies on no moved axis: each part is one flow
+    flow = lambda x: flow_of(x, grid)[0]
+
+    b = alg.zero()
+    if potential.cpoly is not None:
+        V = potential.cpoly
+        value = {**{k: Fraction(v) for k, v in potential.constants.items()},
+                 **{n: obs(letter[n]) for n in qn + xn}}
+        b = exponent(sum((math.prod((value[s] ** e for s, e in zip(V.symbols, expo)), start=c)
+                          for expo, c in V.terms.items()), 0), dt)
+    if interaction == "potential_only":
+        derivative = set(alg.generators[len(alg.generators) // 2:])
+        b = ccr.NCPoly(alg, {w: c for w, c in b.terms.items() if derivative.isdisjoint(w)})
+    for pname in pn:
+        # B moves p by [p, B], read off its lam_p terms; a kick of more than
+        # half the p extent in one step aliases through the periodic boundary
+        kick = alg.from_word((letter[pname],)).commutator(b)
+        shift = np.max(np.abs(sum((_value(w, c, letters) for w, c in kick.terms.items()), 0.0)))
+        if shift > grid.axis(pname).extent / 2:
+            warnings.warn(
+                f"dt={dt} kicks {pname} by up to {shift:.3g}, more than "
+                f"half the axis extent; momentum will wrap within one step",
+                RuntimeWarning, stacklevel=2)
     plan = PropagatorPlan(grid, formalism, masses, potential, float(dt))
-    # B(dt) as one p-spectral factor exp(-i dt (sum k_p force + V)): the
-    # kick shifts each p by force*dt, and kvh and hybrid add exp(-i dt V)
-    terms, axes = [], ()
-    if interaction != "potential_only":
-        forces = potential.force_fields(grid)
-        for qname, pname in zip(qn, pn):
-            f = forces[qname]
-            if not (np.ndim(f) or f):
-                continue
-            # a kick of more than half the p extent in one step aliases
-            # through the periodic boundary
-            fmax = float(np.max(np.abs(f)))
-            if fmax * dt > grid.axis(pname).extent / 2:
-                warnings.warn(
-                    f"dt={dt} kicks {pname} by up to {fmax * dt:.3g}, more than "
-                    f"half the axis extent; momentum will wrap within one step",
-                    RuntimeWarning, stacklevel=2)
-            terms.append(grid.wavenumber(pname) * f)
-            axes += (grid.index(pname),)
-    if formalism != "kvn" and potential.cpoly is not None:
-        terms.append(potential.values(grid))
-    if not terms:
-        plan.substeps = (free_flow(grid, formalism, masses, dt),)
+    if b.is_zero:
+        plan.substeps = (flow(exponent(T, dt)),)
         return plan
-    plan._a = {w: free_flow(grid, formalism, masses, w * dt) for w in (0.5, 1.0)}
+    plan._a = {w: flow(exponent(T, w * dt)) for w in (0.5, 1.0)}
     plan._a[0.0] = None
-    kick = Flow(axes, (_exp(-1j * dt * sum(terms)),))
-    plan.substeps = (plan._a[0.5], kick, plan._a[0.5])
+    plan.substeps = (plan._a[0.5], flow(b), plan._a[0.5])
     return plan
 
 

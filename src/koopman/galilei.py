@@ -4,11 +4,10 @@ A finite transformation U = e^X of a single classical particle in one
 dimension is its exponent X: an exact operator of
 ``ccr.single_classical()`` with the parameters folded in, the
 formalism's rule applied to the generator's phase-space function
-(non-projective kvn or projective kvh).  ``act`` is the one rule that
-exponentiates an exponent on the grid.  The moved axes are those of X's
-derivative letters; the terms D of X with no multiplication letter on a
-moved axis are diagonal once the moved axes are transformed, and the
-rest, M, must be multiplications with a central [D, M], so
+(non-projective kvn or projective kvh).  ``act`` turns X into grid flows
+with ``evolve.flow_of``, the rule the propagator builds its plans with:
+the terms D of X that are diagonal once X's derivative axes are
+transformed, and a multiplication M with a central [D, M], give
 
     e^X = e^(M + [D, M]/2) e^D.
 
@@ -25,13 +24,12 @@ evolution applies free_time directly, with the same best-fit phase.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
 
 from . import ccr
-from .evolve import Flow
+from .evolve import flow_of
 from .exactpoly import I
 from .grid import Wavefunction, inner_product, leakage, norm
 
@@ -71,36 +69,14 @@ def free_time(t: float, formalism: str, mass: float = 1.0) -> ccr.NCPoly:
 
 
 def act(x: ccr.NCPoly, w: Wavefunction) -> Wavefunction:
-    """Apply e^X (see the module docstring); unitary up to rounding."""
+    """Apply e^X through ``evolve.flow_of``; unitary up to rounding."""
     grid, alg = w.grid, x.algebra
     if sorted(grid.names()) != sorted(alg.observable_symbols[len(alg.central_symbols):]):
         raise ValueError("finite transformations act on single-particle (q, p) grids")
-    rank, conjugate = alg.rank, alg.conjugate
-    derivative = lambda g: rank[g] > rank[conjugate[g]]
-    axis = lambda g: alg.name(conjugate[g] if derivative(g) else g)
-    moved = {axis(g) for word in x.terms for g in word if derivative(g)}
-    in_m = lambda word: any(axis(g) in moved and not derivative(g) for g in word)
-    d = ccr.NCPoly(alg, {word: c for word, c in x.terms.items() if not in_m(word)})
-    m = ccr.NCPoly(alg, {word: c for word, c in x.terms.items() if in_m(word)})
-    if any(derivative(g) for word in m.terms for g in word):
-        raise ValueError("exponent has no exact grid flow: a term multiplies "
-                         "and differentiates along its moved axes")
-    bracket = d.commutator(m)
-    if not bracket.is_central():
-        raise ValueError("exponent has no exact grid flow: its diagonal and "
-                         "multiplication parts do not have a central commutator")
-
-    def value(word, c):
-        """c times the word on the grid, each derivative letter its axis's wavenumber."""
-        return complex(c.constant_value()) * math.prod(
-            (grid.wavenumber if derivative(g) else grid.coordinate)(axis(g)) for g in word)
-
-    # one factor per term of D keeps each in its broadcast shape
-    out = Flow(tuple(sorted(map(grid.index, moved))),
-               tuple(np.exp(value(*term)) for term in d.terms.items())).apply(w.values)
-    if not m.is_zero:
-        out *= np.exp(sum(value(*term) for term in (m + bracket * Fraction(1, 2)).terms.items()))
-    return Wavefunction(grid, out)
+    v = w.values
+    for flow in flow_of(x, grid):
+        v = flow.apply(v, overwrite=v is not w.values)
+    return Wavefunction(grid, v)
 
 
 # ---------------------------------------------------------------------------

@@ -253,12 +253,10 @@ def gaussian_init(
     grid: GridSpec,
     centers: Sequence[float],
     widths: Sequence[float],
-    phase: str = "none",
 ) -> Wavefunction:
-    """Normalized Gaussian product state.
+    """Normalized real Gaussian product state.
 
     The amplitude along each axis falls as exp(-(z-c)^2 / (2 w^2)).
-    phase: "none", the one option, keeps the state real.
     """
     centers = tuple(float(c) for c in centers)
     widths = tuple(float(s) for s in widths)
@@ -277,20 +275,13 @@ def gaussian_init(
             out = out * np.exp(-((z - c) ** 2) / (2 * s * s))
         return out
 
-    def phase_field(points: Mapping[str, np.ndarray]):
-        if phase == "none":
-            return 0.0
-        raise ValueError(f"unknown phase option {phase!r}")
-
-    bindings = grid.coordinate_bindings()
-    values = envelope(bindings) * np.exp(1j * np.asarray(phase_field(bindings)))
-    values = np.broadcast_to(values, grid.shape).astype(np.complex128)
+    # filled and scaled in place: a full-grid complex temporary freed here
+    # moves later large arrays of a run onto the heap and raises its peak RSS
+    values = np.empty(grid.shape, np.complex128)
+    values[...] = envelope(grid.coordinate_bindings())
     scale = 1.0 / (np.sqrt(np.sum(np.abs(values) ** 2) * grid.cell_weight))
-
-    def closed_form(points: Mapping[str, np.ndarray]):
-        return scale * envelope(points) * np.exp(1j * np.asarray(phase_field(points)))
-
-    return Wavefunction(grid, values * scale, closed_form=closed_form)
+    values *= scale
+    return Wavefunction(grid, values, closed_form=lambda points: scale * envelope(points))
 
 
 # ---------------------------------------------------------------------------

@@ -278,7 +278,6 @@ sample_every = 5
 [initial]
 centers = 0.0, 1.0
 widths = 1.0, 1.0
-phase = none
 [output]
 dump_state = true
 """)

@@ -42,7 +42,6 @@ sample_every = 5
 [initial]
 centers = 0.0, 1.0
 widths = 1.5, 1.5
-phase = none
 
 [output]
 dump_state = true
@@ -249,8 +248,8 @@ def test_config_errors(tmp_path, capsys):
         # keys that no longer exist fail as unknown keys
         ("evolve", "scenarios/free_kvh.cfg", (("points = 256", "points = 256\nrole = q"),),
          "unknown key 'role' in section [axis.q]"),
-        ("evolve", "scenarios/free_kvh.cfg", (("phase = none", "phase = linear\nphase_coeffs = 1.0, 0.0"),),
-         "unknown key 'phase_coeffs' in section [initial]"),
+        ("evolve", "scenarios/free_kvh.cfg", (("widths = 1.0, 1.0", "widths = 1.0, 1.0\nphase = none"),),
+         "unknown key 'phase' in section [initial]"),
         ("evolve", "scenarios/free_kvh.cfg", (("dump_state = true", "dump_every = 1"),),
          "unknown key 'dump_every' in section [output]"),
         ("evolve", oracle_cfg, (("flow_steps = 64", "flow_steps = 64\nmask_threshold = 1e-6"),),
@@ -409,7 +408,7 @@ def test_every_scenario_key_has_a_shipped_caller():
     # alpha sets the quartic potential, which only tests use: it is what
     # checks the oracle and the kick away from linear forces
     assert keys - set_keys == {("dynamics", "alpha")}
-    assert len(keys) == 24
+    assert len(keys) == 23
 
 
 def test_numerical_abort_exit_code(tiny_cfg, monkeypatch, tmp_path):

@@ -50,6 +50,98 @@ def test_plan_shapes():
                                 0.01)) == [(0, 2)]
 
 
+# formalism -> grid layouts for the plan property; the rule maps the
+# algebra's letters to axes by role and order, so names need not match it
+PLAN_LAYOUTS = {
+    "kvn": (("q", "p"), ("q1", "p1"), ("q1", "p1", "q2", "p2")),
+    "kvh": (("q", "p"), ("q1", "p1"), ("q1", "p1", "q2", "p2")),
+    "hybrid": (("q", "p", "x"), ("q1", "p1", "x1")),
+}
+
+
+@st.composite
+def random_plans(draw):
+    """(plan, potential kind, interaction mode) over a small grid of a
+    random layout, with random masses, constants and dt."""
+    formalism = draw(st.sampled_from(sorted(PLAN_LAYOUTS)))
+    axes = draw(st.sampled_from(PLAN_LAYOUTS[formalism]))
+    g = GridSpec(tuple(Axis(a, -4.0, 8.0, draw(st.sampled_from((8, 16)))) for a in axes))
+    kind = draw(st.sampled_from(
+        ["free", "harmonic", "quartic"] + {4: ["pair"], 3: ["hybrid_pair"]}.get(len(axes), [])))
+    constants = {"kappa": draw(st.floats(0.1, 2.0)), "alpha": draw(st.floats(0.1, 2.0))}
+    masses = [draw(st.floats(0.3, 3.0)) for _ in range(len(axes) - len(g.names("p")))]
+    interaction = draw(st.sampled_from(
+        ("full",) if formalism == "kvn" else ("full", "potential_only")))
+    plan = ev.build_plan(g, formalism, masses, ev.make_potential(kind, g, constants),
+                         draw(st.floats(1e-3, 0.05)), interaction)
+    return plan, kind, interaction
+
+
+def _closed_form_flows(plan, interaction):
+    """(axes, factor) pairs of A(dt/2), A(dt) and B(dt), written out by
+    hand: A streams q by p tau/m, times exp(+i tau p^2/2m) in kvh and
+    hybrid, times exp(-i tau k^2/2m) on each x axis, one factor per (q, p)
+    pair and one per x axis; B is the one factor exp(-i dt (sum k_p f +
+    V)) with the force f = -dV/dq, without V in kvn, and V alone without
+    FFT axes for potential_only.  B is None when there is no V part."""
+    g, pot = plan.grid, plan.potential
+    qn, pn, xn = g.names("q"), g.names("p"), g.names("x")
+
+    def a(tau):
+        factors = []
+        for (qname, pname), m in zip(zip(qn, pn), plan.masses):
+            p = g.coordinate(pname)
+            expo = g.wavenumber(qname) * p / m
+            if plan.formalism != "kvn":
+                expo = expo - p ** 2 / (2 * m)
+            factors.append(np.exp(-1j * tau * expo))
+        for xname, m in zip(xn, plan.masses[len(qn):]):
+            factors.append(np.exp(-1j * tau * g.wavenumber(xname) ** 2 / (2 * m)))
+        return tuple(g.index(n) for n in qn + xn), factors
+
+    terms, axes = [], ()
+    if pot.cpoly is not None and interaction == "full":
+        bindings = {**g.coordinate_bindings(), **pot.constants}
+        for qname, pname in zip(qn, pn):
+            force = -pot.cpoly.partial(qname).evaluate(bindings)
+            terms.append(g.wavenumber(pname) * force)
+            axes += (g.index(pname),)
+    if plan.formalism != "kvn" and pot.cpoly is not None:
+        terms.append(pot.values(g))
+    b = (axes, [np.exp(-1j * plan.dt * sum(terms))]) if terms else None
+    return a(plan.dt / 2), a(plan.dt), b
+
+
+@pytest.mark.filterwarnings("ignore:dt=.*wrap:RuntimeWarning")
+@settings(max_examples=80, deadline=None)
+@given(random_plans())
+def test_plan_flows_match_closed_forms(case):
+    # every flow the exact rule yields has the FFT axes and factor shapes of
+    # the closed form, and the same factors to 1e-14 relative
+    plan, kind, interaction = case
+    g = plan.grid
+    half, full, b = _closed_form_flows(plan, interaction)
+    if b is None:
+        assert len(plan.substeps) == 1
+        cases = [(plan.substeps[0], full)]
+    else:
+        cases = [(plan._a[0.5], half), (plan._a[1.0], full), (plan.substeps[1], b)]
+    for flow, (axes, ref) in cases:
+        assert flow.axes == axes
+        got = list(flow.factors)
+        if b and flow is plan.substeps[1] and kind in ("harmonic", "quartic") and len(g.shape) == 4:
+            # V separates over the two pairs, so B's terms form one group
+            # per pair: one factor each, whose product is the closed form
+            pairs = [{g.index(q), g.index(p)} if axes else {g.index(q)}
+                     for q, p in zip(g.names("q"), g.names("p"))]
+            assert [f.shape for f in got] == [
+                tuple(n if i in pair else 1 for i, n in enumerate(g.shape)) for pair in pairs]
+            got = [got[0] * got[1]]
+        assert [f.shape for f in got] == [r.shape for r in ref]
+        for f, r in zip(got, ref):
+            assert np.max(np.abs(f - r)) <= 1e-14 * np.max(np.abs(r))
+
+
 def test_plans_are_palindromic():
     for formalism, pot_kind, axes, masses in (
             ("kvn", "harmonic", "qp", [1.0]),
@@ -297,6 +389,17 @@ def test_kick_wrap_warning():
     pot = ev.make_potential("harmonic", GRID, {"kappa": 1.0})
     with pytest.warns(RuntimeWarning, match="wrap"):
         ev.build_plan(GRID, "kvn", [1.0], pot, dt=2.0)
+    # the pair and hybrid couplings kick each p axis by dt kappa |q - q'|,
+    # up to 2 * 14 on these grids: more than half of a p extent of 16
+    for formalism, axes, kind, masses in (("kvh", ("q1", "p1", "q2", "p2"), "pair", [1.0, 1.0]),
+                                          ("hybrid", "qpx", "hybrid_pair", [1.0, 1.0])):
+        g = GridSpec(tuple(Axis(a, -8.0, 16.0, 8) for a in axes))
+        pot = ev.make_potential(kind, g, {"kappa": 1.0})
+        with pytest.warns(RuntimeWarning) as caught:
+            ev.build_plan(g, formalism, masses, pot, dt=2.0)
+        assert [str(w.message) for w in caught] == [
+            f"dt=2.0 kicks {p} by up to 28, more than half the axis extent; "
+            f"momentum will wrap within one step" for p in g.names("p")]
 
 
 def test_run_record_csv(tmp_path):

@@ -147,8 +147,6 @@ def test_gaussian_init_contract():
         gaussian_init(GRID, (0, 0), (0.1, 1.0))
     with pytest.raises(ValueError, match="one center"):
         gaussian_init(GRID, (0,), (1, 1))
-    with pytest.raises(ValueError, match="unknown phase option 'action'"):
-        gaussian_init(GRID, (0, 0), (1, 1), phase="action")
 
 
 def test_gaussian_marginals():
