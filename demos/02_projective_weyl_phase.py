@@ -13,17 +13,19 @@ commutator, e^A e^B = e^B e^A e^[A,B]).
 
 import numpy as np
 
+from koopman.evolve import layout
 from koopman.galilei import boost, predicted_weyl_phase, translation, weyl_phase
 from koopman.grid import Axis, GridSpec, gaussian_init
 
 grid = GridSpec((Axis("q", -8, 16, 128), Axis("p", -8, 16, 128)))
 w = gaussian_init(grid, centers=(0.3, -0.4), widths=(1.0, 0.7))
 mass = 1.0
+alg = layout(grid, [mass])      # one classical particle on the (q, p) grid
 
 print(__doc__)
 
-g1 = boost(1.3, 0.0, "kvn", mass)
-g2 = translation(0.7, "kvn", mass)
+g1 = boost(1.3, 0.0, "kvn", alg)
+g2 = translation(0.7, alg)
 ph, res, _ = weyl_phase(g1, g2, w)
 print("non-projective boost(v=1.3) vs translation(a=0.7):")
 print(f"  measured phase angle {np.angle(ph):+.2e} rad, residual {res:.2e}")
@@ -33,8 +35,8 @@ print("projective representation, sweep of (a, v):")
 print("    a     v     measured      m*a*v      |angle error|   residual")
 for a in (0.5, 0.7, 0.9):
     for v in (1.1, 1.3, 1.5):
-        g1 = boost(v, 0.0, "kvh", mass)
-        g2 = translation(a, "kvh", mass)
+        g1 = boost(v, 0.0, "kvh", alg)
+        g2 = translation(a, alg)
         ph, res, _ = weyl_phase(g1, g2, w)
         pred = predicted_weyl_phase(g1, g2)
         err = abs(np.angle(ph * np.conj(pred)))

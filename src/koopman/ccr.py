@@ -79,7 +79,7 @@ class GeneratorId(namedtuple("GeneratorId", "sector kind particle axis")):
 class ParticleSpec:
     sector: str
     dim: int
-    mass: str  # central symbol name
+    mass: object  # a central symbol name, or an exact number
 
 
 class Algebra:
@@ -98,7 +98,7 @@ class Algebra:
             raise ValueError("spatial dimension must be 1, 2 or 3")
         masses = []
         for p in self.particles:
-            if p.mass not in masses:
+            if isinstance(p.mass, str) and p.mass not in masses:
                 masses.append(p.mass)
         self.central_symbols = tuple(masses) + ("t",) + tuple(
             c for c in constants if c not in masses and c != "t"
@@ -494,13 +494,14 @@ _EPS3 = {
 
 
 def _phase_space(algebra: Algebra, axis: int):
-    """(mass, position, momentum) observables of each particle along one axis."""
+    """(mass, position, momentum) of each particle along one axis."""
     if not 1 <= axis <= algebra.dim:
         raise ValueError(f"axis {axis} outside 1..{algebra.dim}: "
                          f"the layout has dimension {algebra.dim}")
     obs = algebra.observable
     for n, p in enumerate(algebra.particles, start=1):
-        yield (obs(p.mass), obs(algebra.name(GeneratorId(p.sector, "pos", n, axis))),
+        yield (obs(p.mass) if isinstance(p.mass, str) else p.mass,
+               obs(algebra.name(GeneratorId(p.sector, "pos", n, axis))),
                obs(algebra.name(GeneratorId(p.sector, "mom", n, axis))))
 
 
@@ -536,10 +537,10 @@ def momentum_observable(algebra: Algebra, axis: int = 1) -> NCPoly:
     return algebra.mult_operator(_momentum(algebra, axis))
 
 
-def boost_generator(algebra: Algebra, formalism: str, axis: int = 1) -> NCPoly:
-    """Total Galilei boost at symbolic time t: the formalism's rule applied
-    to sum m*pos - t*mom."""
-    t = algebra.observable("t")
+def boost_generator(algebra: Algebra, formalism: str, axis: int = 1, t=None) -> NCPoly:
+    """Total Galilei boost at time t, the central symbol unless given as an
+    exact number: the formalism's rule applied to sum m*pos - t*mom."""
+    t = algebra.observable("t") if t is None else t
     return algebra.apply_rule(_total(algebra, (
         m * pos - t * mom for m, pos, mom in _phase_space(algebra, axis)
     )), formalism)

@@ -33,7 +33,7 @@ from . import characteristics as chars
 from . import evolve as ev
 from . import galilei as ga
 from .grid import (
-    Axis, GridSpec, Wavefunction, dump_state, gaussian_init, set_fft_workers,
+    Axis, GridSpec, Wavefunction, axis_records, dump_state, gaussian_init, set_fft_workers,
 )
 
 EXIT_OK = 0
@@ -300,6 +300,9 @@ def cmd_evolve(args) -> int:
     sample_every = sc.get("dynamics", "sample_every", 1)
     if sample_every < 1:
         raise ScenarioError("[dynamics]: sample_every must be >= 1")
+    if sc.get("output", "dump_state", False):
+        with _config_errors("[output] dump_state"):     # before the run, not after it
+            axis_records(grid)
     ref = None
     if "oracle" in sc.sections:
         with _config_errors("[oracle]"):    # before the run, so bad settings fail fast
@@ -337,12 +340,9 @@ def cmd_covariance(args) -> int:
     grid = build_grid(sc)
     w0 = build_initial(sc, grid)
     formalism = sc.require("dynamics", "formalism")
-    masses = sc.require("dynamics", "masses")
-    if len(masses) != 1:
-        raise ScenarioError("[dynamics]: covariance needs exactly one mass")
-    mass = masses[0]
     with _config_errors("[dynamics]"):
-        ga.exact_parameters(formalism, mass)
+        alg = ev.layout(grid, sc.require("dynamics", "masses"))
+        ga.free_time(0.0, formalism, alg)       # the formalism's rule must fit the layout
     sweep_v = _sweep(sc, "sweep_v", "velocity")
     worst = 0.0
     rows = []
@@ -351,12 +351,12 @@ def cmd_covariance(args) -> int:
         for a in _sweep(sc, "sweep_a", "offset"):
             for v in sweep_v:
                 with _config_errors("[transform]"):
-                    g1 = ga.boost(v, 0.0, formalism, mass)
-                    g2 = ga.translation(a, formalism, mass)
+                    g1 = ga.boost(v, 0.0, formalism, alg)
+                    g2 = ga.translation(a, alg)
                     phase, residual, leak = ga.weyl_phase(g1, g2, w0)
                     predicted = ga.predicted_weyl_phase(g1, g2)
                 angle_err = abs(np.angle(phase * np.conj(predicted)))
-                worst = max(worst, residual, angle_err)
+                worst = np.max((worst, residual, angle_err))    # keeps a NaN, as max() would not
                 rows.append((formalism, "boost", "translation", a, v, 0,
                              phase.real, phase.imag, predicted.real,
                              predicted.imag, angle_err, residual, leak))
@@ -364,8 +364,8 @@ def cmd_covariance(args) -> int:
         t_final = read_t_final(sc)
         for v in sweep_v:
             with _config_errors("[transform]"):
-                phase, residual, leak = ga.covariance_check(formalism, v, t_final, w0, mass)
-            worst = max(worst, residual)
+                phase, residual, leak = ga.covariance_check(formalism, v, t_final, w0, alg)
+            worst = np.max((worst, residual))
             rows.append((formalism, "boost+evolve", "evolve+boost", "", v,
                          t_final, phase.real, phase.imag, "", "", "", residual, leak))
     # after the sweep, which checks the elements and the grid, and

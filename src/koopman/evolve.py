@@ -1,9 +1,10 @@
 """Split-step spectral propagators for phase-space wavefunctions.
 
 The generator splits as H = T + V, and each part is one exact flow: the
-formalism's assignment rule (``ccr.Algebra.apply_rule``) applied to it,
-with the masses, dt and constants folded in as exact fractions, and
-turned into FFT axes and pointwise factors by ``flow_of``:
+formalism's assignment rule applied to it on ``layout(grid, masses)``
+(T is ``ccr.time_translation`` there), with the masses, dt and constants
+folded in as exact fractions, and turned into FFT axes and pointwise
+factors by ``flow_of``:
 
   A(tau) = exp(-i tau rule(sum p^2/2m + sum k^2/2m))   (q- and x-spectral)
   B(dt)  = exp(-i dt rule(V))                          (p-spectral)
@@ -236,55 +237,55 @@ class PropagatorPlan:
     _a: dict = field(default_factory=dict, repr=False)   # weight -> A flow
 
 
+def layout(grid: GridSpec, masses: Sequence[float]) -> ccr.Algebra:
+    """The algebra of the grid's layout: one 1-D classical particle per
+    (q, p) pair, then one quantum particle per x axis, with the masses in
+    that order folded in as exact fractions."""
+    sectors = ["classical"] * len(grid.names("q")) + ["quantum"] * len(grid.names("x"))
+    if len(masses) != len(sectors):
+        raise ValueError("need one mass per classical pair and per x axis")
+    if not all(0 < m < np.inf for m in masses):
+        raise ValueError("masses must be positive and finite")
+    return ccr.Algebra([ccr.ParticleSpec(s, 1, Fraction(m)) for s, m in zip(sectors, masses)])
+
+
 def build_plan(grid: GridSpec, formalism: str, masses: Sequence[float],
                potential: Potential, dt: float,
                interaction: str = "full") -> PropagatorPlan:
-    """The flows A and B of the module docstring, on the algebra of the
-    grid's layout: one 1-D classical particle per (q, p) pair and one
-    quantum particle per x axis.  ``interaction = "potential_only"`` keeps
-    only B's terms without a derivative letter, the multiplication by
-    exp(-i dt V): the negative control of the hybrid momentum exchange.
-    kvn has no such term, so it refuses the mode."""
+    """The flows A and B of the module docstring, on ``layout(grid,
+    masses)``; the rule refuses a formalism that does not fit it.
+    ``interaction = "potential_only"`` keeps only B's terms without a
+    derivative letter, the multiplication by exp(-i dt V): the negative
+    control of the hybrid momentum exchange.  kvn has no such term, so it
+    refuses the mode."""
     if formalism not in ("kvn", "kvh", "hybrid"):
         raise ValueError(f"unknown formalism {formalism!r}")
     if interaction not in ("full", "potential_only"):
         raise ValueError(f"unknown interaction mode {interaction!r}")
     if interaction == "potential_only" and formalism == "kvn":
         raise ValueError("kvn has no potential phase: potential_only would run free")
-    qn, pn, xn = grid.names("q"), grid.names("p"), grid.names("x")
-    if len(qn) != len(pn):
-        raise ValueError("need matching q and p axes")
-    if formalism in ("kvn", "kvh") and xn:
-        raise ValueError(f"{formalism} grids cannot carry x axes")
-    if formalism == "hybrid" and (not xn or not qn):
-        raise ValueError("hybrid grids need both classical and quantum axes")
     masses = tuple(float(m) for m in masses)
-    if len(masses) != len(qn) + len(xn):
-        raise ValueError("need one mass per classical pair and per x axis")
-    if not all(0 < m < np.inf for m in masses):
-        raise ValueError("masses must be positive and finite")
+    alg = layout(grid, masses)
     if not 0 < dt < np.inf:
         raise ValueError("dt must be positive and finite")
 
-    alg = ccr.Algebra([ccr.ParticleSpec("classical", 1, "m")] * len(qn)
-                      + [ccr.ParticleSpec("quantum", 1, "m")] * len(xn))
+    qn, pn, xn = grid.names("q"), grid.names("p"), grid.names("x")
     letters = _letters(alg, grid)
     letter = dict(zip(qn + pn + xn, alg.generators))    # q, p and x lead the normal order
     obs = lambda g: alg.observable(alg.name(g))
-    momenta = [letter[n] for n in pn] + [alg.conjugate[letter[n]] for n in xn]
-    T = sum((obs(g) ** 2 / (2 * Fraction(m)) for g, m in zip(momenta, masses)), 0)
-    exponent = lambda f, tau: alg.apply_rule(f, formalism) * (-I * Fraction(tau))
-
     # H = T + V(q, x) multiplies on no moved axis: each part is one flow
     flow = lambda x: flow_of(x, grid)[0]
+    kinetic = ccr.time_translation(alg, formalism)
+    A = lambda tau: flow(kinetic * (-I * Fraction(tau)))
 
     b = alg.zero()
     if potential.cpoly is not None:
         V = potential.cpoly
         value = {**{k: Fraction(v) for k, v in potential.constants.items()},
                  **{n: obs(letter[n]) for n in qn + xn}}
-        b = exponent(sum((math.prod((value[s] ** e for s, e in zip(V.symbols, expo)), start=c)
-                          for expo, c in V.terms.items()), 0), dt)
+        f = sum((math.prod((value[s] ** e for s, e in zip(V.symbols, expo)), start=c)
+                 for expo, c in V.terms.items()), 0)
+        b = alg.apply_rule(f, formalism) * (-I * Fraction(dt))
     if interaction == "potential_only":
         derivative = set(alg.generators[len(alg.generators) // 2:])
         b = ccr.NCPoly(alg, {w: c for w, c in b.terms.items() if derivative.isdisjoint(w)})
@@ -300,9 +301,9 @@ def build_plan(grid: GridSpec, formalism: str, masses: Sequence[float],
                 RuntimeWarning, stacklevel=2)
     plan = PropagatorPlan(grid, formalism, masses, potential, float(dt))
     if b.is_zero:
-        plan.substeps = (flow(exponent(T, dt)),)
+        plan.substeps = (A(dt),)
         return plan
-    plan._a = {w: flow(exponent(T, w * dt)) for w in (0.5, 1.0)}
+    plan._a = {w: A(w * dt) for w in (0.5, 1.0)}
     plan._a[0.0] = None
     plan.substeps = (plan._a[0.5], flow(b), plan._a[0.5])
     return plan

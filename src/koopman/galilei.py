@@ -1,19 +1,20 @@
 """Finite Galilei transformations on phase-space wavefunctions.
 
-A finite transformation U = e^X of a single classical particle in one
-dimension is its exponent X: an exact operator of
-``ccr.single_classical()`` with the parameters folded in, the
-formalism's rule applied to the generator's phase-space function
-(non-projective kvn or projective kvh).  ``act`` turns X into grid flows
-with ``evolve.flow_of``, the rule the propagator builds its plans with:
-the terms D of X that are diagonal once X's derivative axes are
-transformed, and a multiplication M with a central [D, M], give
+A finite transformation U = e^X is its exponent X: the ``ccr`` generator
+times its exact parameter, on the algebra of the grid's layout
+(``evolve.layout``: one classical particle per (q, p) pair and one
+quantum particle per x axis, masses folded in), with the formalism's
+rule (non-projective kvn, projective kvh and hybrid).  ``act`` turns X
+into grid flows with ``evolve.flow_of``, the rule the propagator builds
+its plans with: the terms D of X that are diagonal once X's derivative
+axes are transformed, and a multiplication M with a central [D, M], give
 
     e^X = e^(M + [D, M]/2) e^D.
 
-Translations, kvn boosts, the kvh boost at t = 0 and free time are D
-alone; the kvh boost at t != 0 adds M = i m v q.  The kvh boost's i m v q
-term makes the boost/translation pair noncommute up to a global phase.
+Translations, kvn boosts, projective boosts at t = 0 and free time are
+D alone; a projective boost at t != 0 adds M = i v (sum m q + sum m x).
+Those i m v q and i m v x terms make the boost/translation pair
+noncommute up to the global phase exp(i a v sum m): the total mass.
 
 The measured Weyl phase between two finite transformations is compared
 against the prediction exp([X1, X2]) from the same exponents (for
@@ -33,50 +34,36 @@ from .evolve import flow_of
 from .exactpoly import I
 from .grid import Wavefunction, inner_product, leakage, norm
 
-_ALG = ccr.single_classical()
 
-
-def exact_parameters(formalism: str, mass: float, *params: float) -> list:
-    """The mass and the parameters as exact fractions; ValueError for an
-    unknown formalism, a bad mass or a parameter that is not finite."""
-    if formalism not in ("kvn", "kvh"):
-        raise ValueError(f"unknown formalism {formalism!r}")
-    if not 0 < mass < np.inf:
-        raise ValueError("mass must be positive and finite")
-    if not all(np.isfinite(params)):
+def _exact(x: float) -> Fraction:
+    """A group parameter as an exact fraction; ValueError unless finite."""
+    if not np.isfinite(x):
         raise ValueError("group parameters must be finite")
-    return [Fraction(mass)] + [Fraction(x) for x in params]
+    return Fraction(x)
 
 
-def translation(a: float, formalism: str, mass: float = 1.0) -> ccr.NCPoly:
-    """-i a lam_q: psi(q - a, p) in every formalism."""
-    _, a = exact_parameters(formalism, mass, a)
-    return _ALG.op("lam_q", -I * a)
+def translation(a: float, alg: ccr.Algebra) -> ccr.NCPoly:
+    """-i a (sum lam_q + sum k): every position moves by a, in every formalism."""
+    return ccr.translation_generator(alg) * (-I * _exact(a))
 
 
-def boost(v: float, t: float = 0.0, formalism: str = "kvn", mass: float = 1.0) -> ccr.NCPoly:
-    """i v rule(m q - t p): the boost evaluated at time t."""
-    m, v, t = exact_parameters(formalism, mass, v, t)
-    obs = _ALG.observable
-    return _ALG.apply_rule(m * obs("q") - t * obs("p"), formalism) * (I * v)
+def boost(v: float, t: float, formalism: str, alg: ccr.Algebra) -> ccr.NCPoly:
+    """i v rule(sum m pos - t mom): the boost evaluated at time t."""
+    return ccr.boost_generator(alg, formalism, t=_exact(t)) * (I * _exact(v))
 
 
-def free_time(t: float, formalism: str, mass: float = 1.0) -> ccr.NCPoly:
-    """-i t rule(p^2/2m): free evolution over time t."""
-    m, t = exact_parameters(formalism, mass, t)
-    p = _ALG.observable("p")
-    return _ALG.apply_rule(p * p / (2 * m), formalism) * (-I * t)
+def free_time(t: float, formalism: str, alg: ccr.Algebra) -> ccr.NCPoly:
+    """-i t rule(sum mom^2/2m): free evolution over time t."""
+    return ccr.time_translation(alg, formalism) * (-I * _exact(t))
 
 
 def act(x: ccr.NCPoly, w: Wavefunction) -> Wavefunction:
-    """Apply e^X through ``evolve.flow_of``; unitary up to rounding."""
-    grid, alg = w.grid, x.algebra
-    if sorted(grid.names()) != sorted(alg.observable_symbols[len(alg.central_symbols):]):
-        raise ValueError("finite transformations act on single-particle (q, p) grids")
+    """Apply e^X through ``evolve.flow_of``, which refuses a grid that does
+    not match X's layout; unitary up to rounding."""
     v = w.values
-    for flow in flow_of(x, grid):
+    for flow in flow_of(x, w.grid):
         v = flow.apply(v, overwrite=v is not w.values)
-    return Wavefunction(grid, v)
+    return Wavefunction(w.grid, v)
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +100,10 @@ def weyl_phase(x1: ccr.NCPoly, x2: ccr.NCPoly, w: Wavefunction):
 
 
 def covariance_check(formalism: str, v: float, t_final: float,
-                     w0: Wavefunction, mass: float = 1.0):
+                     w0: Wavefunction, alg: ccr.Algebra):
     """_phase_fit of free evolution then boost(t) against boost(0) then
     free evolution; the orders agree up to a global phase (residual <=
     1e-6) because each boost generator is evaluated at its own time."""
-    evolve = free_time(t_final, formalism, mass)
-    return _phase_fit(act(boost(v, t_final, formalism, mass), act(evolve, w0)),
-                      act(evolve, act(boost(v, 0.0, formalism, mass), w0)))
+    evolve = free_time(t_final, formalism, alg)
+    return _phase_fit(act(boost(v, t_final, formalism, alg), act(evolve, w0)),
+                      act(evolve, act(boost(v, 0.0, formalism, alg), w0)))

@@ -279,7 +279,11 @@ def gaussian_init(
     # moves later large arrays of a run onto the heap and raises its peak RSS
     values = np.empty(grid.shape, np.complex128)
     values[...] = envelope(grid.coordinate_bindings())
-    scale = 1.0 / (np.sqrt(np.sum(np.abs(values) ** 2) * grid.cell_weight))
+    norm2 = np.sum(np.abs(values) ** 2) * grid.cell_weight
+    if not 0 < norm2 < np.inf:
+        raise ValueError(f"the packet's norm on the grid is {np.sqrt(norm2):.3g}: "
+                         f"its centers lie too far outside the axes")
+    scale = 1.0 / np.sqrt(norm2)
     values *= scale
     return Wavefunction(grid, values, closed_form=lambda points: scale * envelope(points))
 
@@ -317,19 +321,24 @@ _MAGIC = b"KVHW"
 _VERSION = 1
 
 
+def axis_records(grid: GridSpec) -> bytes:
+    """A dump's 32-byte axis records; ValueError for a name that does not fit."""
+    records = []
+    for a in grid.axes:
+        if not a.name.isascii() or len(a.name) > 8:
+            raise ValueError(f"axis name {a.name!r} is not ASCII or longer than 8 bytes")
+        records.append(struct.pack("<8sQdd", a.name.encode("ascii"), a.points, a.min, a.extent))
+    return b"".join(records)
+
+
 def dump_state(w: Wavefunction, path) -> None:
     """Write a dump; every axis name is checked before the file is opened,
     so a bad name leaves no file behind."""
-    records = []
-    for a in w.grid.axes:
-        name = a.name.encode("ascii")
-        if len(name) > 8:
-            raise ValueError(f"axis name {a.name!r} longer than 8 bytes")
-        records.append(struct.pack("<8sQdd", name, a.points, a.min, a.extent))
+    records = axis_records(w.grid)
     with open(path, "wb") as fh:
         head = struct.pack("<4sIII", _MAGIC, _VERSION, len(w.grid.axes), 0)
         fh.write(head + b"\x00" * (64 - len(head)))
-        fh.write(b"".join(records))
+        fh.write(records)
         data = np.ascontiguousarray(w.values, dtype="<c16")
         fh.write(data.tobytes())
 

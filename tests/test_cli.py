@@ -197,10 +197,14 @@ def test_config_errors(tmp_path, capsys):
               ("centers = 0.3, -0.4", "centers = 0.3, -0.4, 0.0"),
               ("widths = 1.0, 0.7", "widths = 1.0, 0.7, 3.0"))
     cases = [
-        ("covariance", weyl, (("masses = 1.0", "masses ="),), "exactly one mass"),
-        ("covariance", weyl, x_axis, "single-particle"),
+        ("covariance", weyl, (("masses = 1.0", "masses ="),),
+         "[dynamics]: need one mass per classical pair and per x axis"),
+        ("covariance", weyl, x_axis + (("masses = 1.0", "masses = 1.0, 1.0"),),
+         "[dynamics]: kvh needs an all-classical layout"),
         ("covariance", weyl_kvn, (("formalism = kvn", "formalism = hybrid"),),
-         "[dynamics]: unknown formalism 'hybrid'"),
+         "[dynamics]: hybrid needs a mixed layout"),
+        ("covariance", "scenarios/weyl_hybrid.cfg", (("formalism = hybrid", "formalism = magic"),),
+         "[dynamics]: unknown formalism 'magic'"),
         ("covariance", weyl_kvn, (("sweep_v = 1.3", "sweep_v = inf"),),
          "bad value for 'sweep_v' in [transform]: 'inf' (must be finite)"),
         ("covariance", weyl_kvn, (("sweep_a = 0.7\n", ""),),
@@ -209,9 +213,9 @@ def test_config_errors(tmp_path, capsys):
          "sweep_a needs at least one offset"),
         ("covariance", weyl_kvn, (("kind = weyl", "kind = rotation"),),
          "unknown transform kind 'rotation'"),
-        ("covariance", weyl_kvn, zero_mass, "[dynamics]: mass must be positive and finite"),
+        ("covariance", weyl_kvn, zero_mass, "[dynamics]: masses must be positive and finite"),
         ("covariance", "scenarios/covariance_kvh.cfg", zero_mass,
-         "[dynamics]: mass must be positive and finite"),
+         "[dynamics]: masses must be positive and finite"),
         ("evolve", "scenarios/free_kvh.cfg", zero_mass,
          "[dynamics]: masses must be positive and finite"),
         ("evolve", oracle_cfg, (("flow_steps = 64", "flow_steps = 0"),),
@@ -243,6 +247,15 @@ def test_config_errors(tmp_path, capsys):
          (("sweep_v = 0.0, 0.5, 1.0", "sweep_v ="),), "sweep_v needs at least one velocity"),
         ("covariance", "scenarios/covariance_kvh.cfg",
          (("sweep_v = 0.0, 0.5, 1.0", ""),), "missing key 'sweep_v'"),
+        # a packet outside the box has no norm to normalize
+        ("evolve", "scenarios/harmonic_kvh.cfg", (("centers = 0.0, 2.0", "centers = 100.0, 1.0"),),
+         "[initial]: the packet's norm on the grid is 0"),
+        ("covariance", "scenarios/covariance_kvh.cfg",
+         (("centers = 0.0, 1.0", "centers = 100.0, 1.0"),), "[initial]: the packet's norm on the grid is 0"),
+        # dump records are checked before the run, not after it
+        ("evolve", "scenarios/free_kvh.cfg", (("axes = q, p", "axes = q_position, p"),
+                                              ("[axis.q]", "[axis.q_position]")),
+         "[output] dump_state: axis name 'q_position' is not ASCII or longer than 8 bytes"),
         ("evolve", "scenarios/free_kvh.cfg", (("points = 256", "points = 1099511627776"),),
          f"[grid]: grid of {2 ** 80} cells exceeds the cap of {2 ** 26}"),
         # keys that no longer exist fail as unknown keys
@@ -411,6 +424,19 @@ def test_every_scenario_key_has_a_shipped_caller():
     assert len(keys) == 23
 
 
+def test_nonfinite_covariance_sweep_fails(tmp_path, capsys):
+    # max() drops a NaN, so a sweep of NaN rows once passed with "worst
+    # deviation 0"; it exits 1, and the rows are still written
+    cfg = tmp_path / "huge_v.cfg"
+    cfg.write_text(open("scenarios/weyl_kvh.cfg").read()
+                   .replace("sweep_v = 1.1, 1.3, 1.5", "sweep_v = 1e308"))
+    with np.errstate(all="ignore"):
+        assert cli.main(["covariance", str(cfg), "--out", str(tmp_path / "w")]) == cli.EXIT_VERIFY
+    assert "worst deviation nan" in capsys.readouterr().out
+    rows = (tmp_path / "w" / "covariance.csv").read_text().splitlines()[1:]
+    assert len(rows) == 3 and all(row.split(",")[-3:-1] == ["nan", "nan"] for row in rows)
+
+
 def test_numerical_abort_exit_code(tiny_cfg, monkeypatch, tmp_path):
     def boom(*a, **k):
         raise ev.NumericalAbort(7, 6)
@@ -448,22 +474,24 @@ def test_unusable_output_dir_is_named_as_config(tmp_path, capsys):
 
 
 def test_covariance_command(tmp_path):
-    rc = cli.main(["covariance", "scenarios/weyl_kvh.cfg",
-                   "--out", str(tmp_path / "w")])
-    assert rc == cli.EXIT_OK
-    lines = (tmp_path / "w" / "covariance.csv").read_text().splitlines()
-    assert len(lines) == 1 + 9  # header + 3x3 sweep
-    assert lines[0].startswith("formalism,g1,g2,a,v,t,phase_re")
-    # measured phases sit on the predicted curve
-    for line in lines[1:]:
-        cells = line.split(",")
-        assert float(cells[10]) <= 1e-6   # angle error
-        assert float(cells[11]) <= 1e-6   # residual
-        assert float(cells[12]) <= 1e-18  # leakage, the last column
+    # one classical particle (3x3 sweep) and a hybrid pair (2x2)
+    for layout, sweep in (("kvh", 9), ("hybrid", 4)):
+        rc = cli.main(["covariance", f"scenarios/weyl_{layout}.cfg",
+                       "--out", str(tmp_path / f"w_{layout}")])
+        assert rc == cli.EXIT_OK
+        lines = (tmp_path / f"w_{layout}" / "covariance.csv").read_text().splitlines()
+        assert len(lines) == 1 + sweep  # header + sweep_a x sweep_v
+        assert lines[0].startswith("formalism,g1,g2,a,v,t,phase_re")
+        # measured phases sit on the predicted curve
+        for line in lines[1:]:
+            cells = line.split(",")
+            assert float(cells[10]) <= 1e-6   # angle error
+            assert float(cells[11]) <= 1e-6   # residual
+            assert float(cells[12]) <= 1e-18  # leakage, the last column
 
-    rc = cli.main(["covariance", "scenarios/covariance_kvh.cfg",
-                   "--out", str(tmp_path / "c")])
-    assert rc == cli.EXIT_OK
+        rc = cli.main(["covariance", f"scenarios/covariance_{layout}.cfg",
+                       "--out", str(tmp_path / f"c_{layout}")])
+        assert rc == cli.EXIT_OK
 
 
 def test_oracle_command(tmp_path):

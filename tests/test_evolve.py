@@ -244,7 +244,7 @@ def test_build_plan_validation():
         with pytest.raises(ValueError, match="masses must be positive and finite"):
             ev.build_plan(GRID, "kvh", [mass], free, 0.1)
     g3 = make_grid("qpx", 32)
-    with pytest.raises(ValueError, match="x axes"):
+    with pytest.raises(ValueError, match="kvn needs an all-classical layout"):
         ev.build_plan(g3, "kvn", [1.0, 1.0], ev.make_potential("free", g3), 0.1)
     with pytest.raises(ValueError, match="unsupported potential"):
         ev.make_potential("coulomb", GRID)
