@@ -20,7 +20,7 @@ from koopman.grid import Axis, GridSpec, gaussian_init
 grid = GridSpec((Axis("q", -8, 16, 128), Axis("p", -8, 16, 128)))
 w = gaussian_init(grid, centers=(0.3, -0.4), widths=(1.0, 0.7))
 mass = 1.0
-alg = layout(grid, [mass])      # one classical particle on the (q, p) grid
+alg = layout(grid, [mass], "kvh")    # one classical particle on the (q, p) grid; kvn fits it too
 
 print(__doc__)
 

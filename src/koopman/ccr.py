@@ -96,10 +96,7 @@ class Algebra:
         self.dim = dims.pop()
         if self.dim not in (1, 2, 3):
             raise ValueError("spatial dimension must be 1, 2 or 3")
-        masses = []
-        for p in self.particles:
-            if isinstance(p.mass, str) and p.mass not in masses:
-                masses.append(p.mass)
+        masses = list(dict.fromkeys(p.mass for p in self.particles if isinstance(p.mass, str)))
         self.central_symbols = tuple(masses) + ("t",) + tuple(
             c for c in constants if c not in masses and c != "t"
         )
@@ -241,19 +238,19 @@ class Algebra:
         return self.poisson_rule(f) + self.mult_operator(scalar)
 
     def apply_rule(self, f: CPoly, formalism: str) -> "NCPoly":
-        """The operator of the phase-space function f(q, p, x, k).
+        """The operator of the phase-space function f(q, p, x, k): the
+        Poisson rule for kvn, the projective rule for kvh, hybrid and
+        quantum, on the layouts ``require_layout`` admits."""
+        self.require_layout(formalism)
+        return self.poisson_rule(f) if formalism == "kvn" else self.prequantum_rule(f)
 
-        kvn takes the Poisson rule; kvh, hybrid and quantum take the
-        projective rule.  Each Galilei generator that depends on the
-        formalism is this one call on one function, so this is where a
-        formalism must match the layout.
-        """
+    def require_layout(self, formalism: str) -> None:
+        """ValueError unless the formalism's rule applies to this layout."""
         if formalism not in _LAYOUTS:
             raise ValueError(f"unknown formalism {formalism!r}")
         sectors, layout = _LAYOUTS[formalism]
         if {p.sector for p in self.particles} != sectors:
             raise ValueError(f"{formalism} needs {layout} layout")
-        return self.poisson_rule(f) if formalism == "kvn" else self.prequantum_rule(f)
 
     # -- partial quantization ----------------------------------------------------
 

@@ -340,9 +340,9 @@ def cmd_covariance(args) -> int:
     grid = build_grid(sc)
     w0 = build_initial(sc, grid)
     formalism = sc.require("dynamics", "formalism")
+    masses = sc.require("dynamics", "masses")
     with _config_errors("[dynamics]"):
-        alg = ev.layout(grid, sc.require("dynamics", "masses"))
-        ga.free_time(0.0, formalism, alg)       # the formalism's rule must fit the layout
+        alg = ev.layout(grid, masses, formalism)
     sweep_v = _sweep(sc, "sweep_v", "velocity")
     worst = 0.0
     rows = []

@@ -1,10 +1,10 @@
 """Split-step spectral propagators for phase-space wavefunctions.
 
 The generator splits as H = T + V, and each part is one exact flow: the
-formalism's assignment rule applied to it on ``layout(grid, masses)``
-(T is ``ccr.time_translation`` there), with the masses, dt and constants
-folded in as exact fractions, and turned into FFT axes and pointwise
-factors by ``flow_of``:
+formalism's assignment rule applied to it on ``layout(grid, masses,
+formalism)`` (T is ``ccr.time_translation`` there), with the masses, dt
+and constants folded in as exact fractions, and turned into FFT axes and
+pointwise factors by ``flow_of``:
 
   A(tau) = exp(-i tau rule(sum p^2/2m + sum k^2/2m))   (q- and x-spectral)
   B(dt)  = exp(-i dt rule(V))                          (p-spectral)
@@ -237,42 +237,45 @@ class PropagatorPlan:
     _a: dict = field(default_factory=dict, repr=False)   # weight -> A flow
 
 
-def layout(grid: GridSpec, masses: Sequence[float]) -> ccr.Algebra:
-    """The algebra of the grid's layout: one 1-D classical particle per
-    (q, p) pair, then one quantum particle per x axis, with the masses in
-    that order folded in as exact fractions."""
+def layout(grid: GridSpec, masses: Sequence[float], formalism: str) -> ccr.Algebra:
+    """The algebra of the grid's layout, one 1-D classical particle per
+    (q, p) pair then one quantum particle per x axis, masses folded in as
+    exact fractions; the one check of a run's formalism (kvn, kvh or
+    hybrid) against it.  Every formalism that fits gets the same algebra."""
+    if formalism not in ("kvn", "kvh", "hybrid"):
+        raise ValueError(f"unknown formalism {formalism!r}")
+    if len(grid.names("q")) != len(grid.names("p")):
+        raise ValueError("need matching q and p axes")
     sectors = ["classical"] * len(grid.names("q")) + ["quantum"] * len(grid.names("x"))
     if len(masses) != len(sectors):
         raise ValueError("need one mass per classical pair and per x axis")
     if not all(0 < m < np.inf for m in masses):
         raise ValueError("masses must be positive and finite")
-    return ccr.Algebra([ccr.ParticleSpec(s, 1, Fraction(m)) for s, m in zip(sectors, masses)])
+    alg = ccr.Algebra([ccr.ParticleSpec(s, 1, Fraction(m)) for s, m in zip(sectors, masses)])
+    alg.require_layout(formalism)
+    return alg
 
 
 def build_plan(grid: GridSpec, formalism: str, masses: Sequence[float],
                potential: Potential, dt: float,
                interaction: str = "full") -> PropagatorPlan:
     """The flows A and B of the module docstring, on ``layout(grid,
-    masses)``; the rule refuses a formalism that does not fit it.
-    ``interaction = "potential_only"`` keeps only B's terms without a
-    derivative letter, the multiplication by exp(-i dt V): the negative
-    control of the hybrid momentum exchange.  kvn has no such term, so it
-    refuses the mode."""
-    if formalism not in ("kvn", "kvh", "hybrid"):
-        raise ValueError(f"unknown formalism {formalism!r}")
+    masses, formalism)``.  ``interaction = "potential_only"`` keeps only
+    B's terms without a derivative letter, the multiplication by
+    exp(-i dt V): the negative control of the hybrid momentum exchange.
+    kvn has no such term, so it refuses the mode."""
+    masses = tuple(float(m) for m in masses)
+    alg = layout(grid, masses, formalism)
     if interaction not in ("full", "potential_only"):
         raise ValueError(f"unknown interaction mode {interaction!r}")
     if interaction == "potential_only" and formalism == "kvn":
         raise ValueError("kvn has no potential phase: potential_only would run free")
-    masses = tuple(float(m) for m in masses)
-    alg = layout(grid, masses)
     if not 0 < dt < np.inf:
         raise ValueError("dt must be positive and finite")
 
     qn, pn, xn = grid.names("q"), grid.names("p"), grid.names("x")
     letters = _letters(alg, grid)
     letter = dict(zip(qn + pn + xn, alg.generators))    # q, p and x lead the normal order
-    obs = lambda g: alg.observable(alg.name(g))
     # H = T + V(q, x) multiplies on no moved axis: each part is one flow
     flow = lambda x: flow_of(x, grid)[0]
     kinetic = ccr.time_translation(alg, formalism)
@@ -282,7 +285,7 @@ def build_plan(grid: GridSpec, formalism: str, masses: Sequence[float],
     if potential.cpoly is not None:
         V = potential.cpoly
         value = {**{k: Fraction(v) for k, v in potential.constants.items()},
-                 **{n: obs(letter[n]) for n in qn + xn}}
+                 **{n: alg.observable(alg.name(letter[n])) for n in qn + xn}}
         f = sum((math.prod((value[s] ** e for s, e in zip(V.symbols, expo)), start=c)
                  for expo, c in V.terms.items()), 0)
         b = alg.apply_rule(f, formalism) * (-I * Fraction(dt))

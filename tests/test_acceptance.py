@@ -172,7 +172,7 @@ def test_criterion_7_weyl_phases():
     t0 = time.time()
     grid = GridSpec((Axis("q", -8, 16, 128), Axis("p", -8, 16, 128)))
     w = gaussian_init(grid, centers=(0.3, -0.4), widths=(1.0, 0.7))
-    alg = ev.layout(grid, [1.0])
+    alg = ev.layout(grid, [1.0], "kvh")
     ph, res, _ = ga.weyl_phase(ga.boost(1.3, 0.0, "kvn", alg), ga.translation(0.7, alg), w)
     worst_res = res
     worst_angle = abs(np.angle(ph))

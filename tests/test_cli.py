@@ -205,6 +205,17 @@ def test_config_errors(tmp_path, capsys):
          "[dynamics]: hybrid needs a mixed layout"),
         ("covariance", "scenarios/weyl_hybrid.cfg", (("formalism = hybrid", "formalism = magic"),),
          "[dynamics]: unknown formalism 'magic'"),
+        # runs share one list of formalisms: quantum is refused by name, as
+        # evolve runs refuse it, even on a grid of x axes only
+        ("covariance", "scenarios/weyl_hybrid.cfg",
+         (("axes = q, p, x", "axes = x"), ("formalism = hybrid", "formalism = quantum"),
+          ("[axis.q]\nmin = -8.0\nextent = 16.0\npoints = 64\n\n"
+           "[axis.p]\nmin = -8.0\nextent = 16.0\npoints = 64\n\n", ""),
+          ("masses = 1.0, 2.0", "masses = 2.0"), ("centers = 0.3, -0.4, -0.2", "centers = -0.2"),
+          ("widths = 1.0, 1.0, 1.0", "widths = 1.0")),
+         "[dynamics]: unknown formalism 'quantum'"),
+        ("covariance", weyl, (("masses = 1.0\n", ""),),
+         "config error: missing key 'masses' in section [dynamics]\n"),
         ("covariance", weyl_kvn, (("sweep_v = 1.3", "sweep_v = inf"),),
          "bad value for 'sweep_v' in [transform]: 'inf' (must be finite)"),
         ("covariance", weyl_kvn, (("sweep_a = 0.7\n", ""),),

@@ -246,6 +246,11 @@ def test_build_plan_validation():
     g3 = make_grid("qpx", 32)
     with pytest.raises(ValueError, match="kvn needs an all-classical layout"):
         ev.build_plan(g3, "kvn", [1.0, 1.0], ev.make_potential("free", g3), 0.1)
+    # unequal q and p axes are named as such, whatever the mass count
+    g = GridSpec(tuple(Axis(n, -8.0, 16.0, 8) for n in ("q1", "q2", "p1")))
+    for masses in ([1.0], [1.0, 1.0]):
+        with pytest.raises(ValueError, match="need matching q and p axes"):
+            ev.build_plan(g, "kvn", masses, ev.make_potential("free", g), 0.1)
     with pytest.raises(ValueError, match="unsupported potential"):
         ev.make_potential("coulomb", GRID)
 

@@ -15,7 +15,7 @@ def make_grid(n=128, lo=-8.0, ext=16.0):
 
 GRID = make_grid()
 W = gaussian_init(GRID, centers=(0.3, -0.4), widths=(1.0, 0.7))
-_alg = lambda m: layout(GRID, [m])
+_alg = lambda m: layout(GRID, [m], "kvh")     # kvn fits the same layout
 ALG = _alg(1.0)
 # a quantum-classical pair: one (q, p) pair and one x axis
 HYBRID = GridSpec((Axis("q", -8.0, 16.0, 64), Axis("p", -8.0, 16.0, 64),
@@ -87,7 +87,12 @@ def test_group_element_validation():
         with pytest.raises(ValueError, match="masses must be positive and finite"):
             _alg(mass)
     with pytest.raises(ValueError, match="one mass per classical pair"):
-        layout(GRID, [1.0, 1.0])
+        layout(GRID, [1.0, 1.0], "kvh")
+    # runs take kvn, kvh or hybrid, with a rule that fits the layout
+    for formalism, needle in (("quantum", "unknown formalism 'quantum'"),
+                              ("hybrid", "hybrid needs a mixed layout")):
+        with pytest.raises(ValueError, match=needle):
+            layout(GRID, [1.0], formalism)
     with pytest.raises(ValueError, match="unknown formalism 'magic'"):
         ga.free_time(0.5, "magic", ALG)
     for formalism, needs in (("hybrid", "a mixed"), ("quantum", "an all-quantum")):
@@ -192,7 +197,7 @@ def test_leakage_tells_a_boundary_error_from_a_noncentral_one():
 
 @pytest.mark.parametrize("formalism", ["kvn", "kvh", "hybrid"])
 def test_covariance_free_dynamics(formalism):
-    w, alg = (W_HYBRID, layout(HYBRID, [1.0, 2.0])) if formalism == "hybrid" else (W, ALG)
+    w, alg = (W_HYBRID, layout(HYBRID, [1.0, 2.0], "hybrid")) if formalism == "hybrid" else (W, ALG)
     phase, residual, _ = ga.covariance_check(formalism, 1.0, 0.5, w, alg)
     assert residual <= 1e-6
     assert abs(phase - 1.0) <= 1e-6
@@ -218,7 +223,7 @@ def _angle_error(phase, angle):
 def test_hybrid_weyl_phase_is_total_mass_times_area_property(m1, m2, a, v):
     # kicks of at most 1.2 in p and k and a shift of 1 in q and x keep the
     # packet 6 widths inside the 64^3 box
-    alg = layout(HYBRID, [m1, m2])
+    alg = layout(HYBRID, [m1, m2], "hybrid")
     g1, g2 = ga.boost(v, 0.0, "hybrid", alg), ga.translation(a, alg)
     ph, res, _ = ga.weyl_phase(g1, g2, W_HYBRID)
     assert res <= 1e-6
@@ -230,7 +235,7 @@ def test_hybrid_boost_without_its_quantum_terms_measures_the_classical_mass():
     # negative control: with the quantum particle's terms cut from the boost,
     # the phase carries m1 alone
     m1, m2, a, v = 1.0, 2.0, 0.5, 0.6
-    alg = layout(HYBRID, [m1, m2])
+    alg = layout(HYBRID, [m1, m2], "hybrid")
     boost = ga.boost(v, 0.0, "hybrid", alg)
     classical = ccr.NCPoly(alg, {w: c for w, c in boost.terms.items()
                                  if all(g.sector == "classical" for g in w)})
@@ -247,7 +252,7 @@ def test_two_particle_kvh_weyl_phase_is_total_mass_times_area():
     grid = GridSpec(tuple(Axis(n, -10.0, 20.0, 32) for n in ("q1", "p1", "q2", "p2")))
     w = gaussian_init(grid, centers=(0.3, -0.4, -0.3, 0.2), widths=(1.9,) * 4)
     m1, m2, a, v = 1.0, 2.0, 0.5, 0.3
-    alg = layout(grid, [m1, m2])
+    alg = layout(grid, [m1, m2], "kvh")
     ph, res, _ = ga.weyl_phase(ga.boost(v, 0.0, "kvh", alg), ga.translation(a, alg), w)
     assert res <= 1e-5
     assert _angle_error(ph, (m1 + m2) * a * v) <= 1e-9
