@@ -8,7 +8,8 @@ integrates the flow with a classic fixed-step RK4 (kept deliberately
 free of the spectral machinery so the two routes stay independent),
 accumulates the action as an augmented state, and reconstructs reference
 wavefunctions semi-Lagrangian style: trace every grid node backward,
-evaluate the initial state there, multiply by exp(i S).
+evaluate the initial state there, multiply by exp(i S).  V is an exact
+CPoly over the q names (None for free); nothing here imports ``evolve``.
 
 The ``interp`` mode alone decides how the initial state is read at the
 backward-flow points: "closed_form" (the default) evaluates the state's
@@ -25,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .evolve import Potential
+from .exactpoly import CPoly
 from .grid import Wavefunction, inner_product, phase_mask
 
 _RK4_NODES = (0.0, 0.5, 0.5, 1.0)
@@ -38,7 +39,7 @@ _RK4_WEIGHTS = (1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0)
 _FLOW_BLOCK = 8192
 
 
-def integrate_flow(masses: Sequence[float], potential: Potential,
+def integrate_flow(masses: Sequence[float], potential: CPoly | None,
                    qnames: Sequence[str], seeds: np.ndarray,
                    t_final: float, steps: int):
     """Fixed-step RK4 for dq = p/m, dp = -dV/dq, dS = sum p^2/2m - V.
@@ -64,13 +65,13 @@ def integrate_flow(masses: Sequence[float], potential: Potential,
                          f"got {masses.tolist()}")
     twice_masses, mass_rows = 2 * masses, masses[:, None]
     h = t_final / steps
-    if potential.cpoly is None:
+    if potential is None:
         V, forces = None, []
     else:
-        V = potential.cpoly.compile()
-        grads = enumerate(-potential.cpoly.partial(name) for name in qnames)
+        V = potential.compile()
+        grads = enumerate(-potential.partial(name) for name in qnames)
         forces = [(npair + d, g.compile()) for d, g in grads if not g.is_zero]
-    bindings = dict(potential.constants)
+    bindings = {}
 
     n, rows = len(seeds), 2 * npair + 1
     # not one packed (rows, n) array: as the flow's largest allocation,
@@ -166,7 +167,7 @@ def _interpolate_samples(w0: Wavefunction, points: dict) -> np.ndarray:
 
 
 def reference_solution(w0: Wavefunction, masses: Sequence[float],
-                       potential: Potential, t: float, formalism: str,
+                       potential: CPoly | None, t: float, formalism: str,
                        interp: str = "closed_form", flow_steps: int | None = None):
     """Exact-transport reference at time t on w0's grid.
 

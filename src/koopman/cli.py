@@ -55,8 +55,12 @@ def _config_errors(where: str):
         raise ScenarioError(f"{where}: {e}") from e
 
 
-def _fmt(x) -> str:
-    return "" if x is None else f"{x:.17g}"
+def _write_csv(path: Path, header, rows) -> None:
+    """The one CSV number format: %.17g, empty for None; strings as given."""
+    cell = lambda x: x if isinstance(x, str) else "" if x is None else f"{x:.17g}"
+    with open(path, "w", newline="") as fh:
+        for r in (header, *rows):
+            fh.write(",".join(map(cell, r)) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +77,12 @@ def _floats(s: str):
     return tuple(_float(v) for v in s.split(",")) if s.strip() else ()
 
 
+def _boolean(s: str) -> bool:
+    if s.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ValueError("must be one of 1/yes/true/on or 0/no/false/off")
+    return configparser.ConfigParser.BOOLEAN_STATES[s.lower()]
+
+
 _SCHEMA = {
     "run": {"kind": str},
     "grid": {"axes": lambda s: tuple(v.strip() for v in s.split(","))},
@@ -84,7 +94,7 @@ _SCHEMA = {
     "initial": {"centers": _floats, "widths": _floats},
     "transform": {"kind": str, "sweep_a": _floats, "sweep_v": _floats},
     "oracle": {"flow_steps": int, "interp": str},   # reference_solution's keywords
-    "output": {"dir": str, "dump_state": lambda s: s.lower() in ("1", "true", "yes")},
+    "output": {"dir": str, "dump_state": _boolean},
 }
 _AXIS_KEYS = {"min": _float, "extent": _float, "points": int}
 
@@ -188,7 +198,7 @@ def build_grid(sc: Scenario) -> GridSpec:
             raise ScenarioError(f"axis {name!r} listed but no [axis.{name}] section")
         for key in ("min", "extent", "points"):
             if key not in spec:
-                raise ScenarioError(f"[axis.{name}] missing {key!r}")
+                raise ScenarioError(f"missing key {key!r} in section [axis.{name}]")
         with _config_errors(f"[axis.{name}]"):
             axes.append(Axis(name, spec["min"], spec["extent"], spec["points"]))
     with _config_errors("[grid]"):
@@ -208,15 +218,13 @@ def build_initial(sc: Scenario, grid: GridSpec) -> Wavefunction:
 
 
 def build_plan_from(sc: Scenario, grid: GridSpec) -> ev.PropagatorPlan:
-    dyn = sc.sections.get("dynamics", {})
-    for key in ("formalism", "masses", "potential", "dt"):
-        if key not in dyn:
-            raise ScenarioError(f"[dynamics] missing {key!r}")
+    formalism, masses, potential, dt = (
+        sc.require("dynamics", key) for key in ("formalism", "masses", "potential", "dt"))
+    dyn = sc.sections["dynamics"]
     constants = {k: dyn[k] for k in ("kappa", "alpha") if k in dyn}
     with _config_errors("[dynamics]"):
-        pot = ev.make_potential(dyn["potential"], grid, constants)
-        return ev.build_plan(grid, dyn["formalism"], dyn["masses"], pot,
-                             dyn["dt"], dyn.get("interaction", "full"))
+        pot = ev.make_potential(potential, grid, constants)
+        return ev.build_plan(grid, formalism, masses, pot, dt, dyn.get("interaction", "full"))
 
 
 def read_t_final(sc: Scenario, dt: float | None = None) -> float:
@@ -312,16 +320,15 @@ def cmd_evolve(args) -> int:
     out_dir = _make_out_dir(args, sc)
 
     record, w = ev.run(w0, plan, t_final, sample_every)
-    record.to_csv(out_dir / "run.csv")
+    _write_csv(out_dir / "run.csv", record.columns, record.rows)
     if sc.get("output", "dump_state", False):
         dump_state(w, out_dir / "final.kvhw")
     write_manifest(sc, out_dir)
     sys.stdout.write(f"evolve: {len(record.rows)} samples -> {out_dir}\n")
     if ref is not None:
         metrics = chars.compare(w, ref, valid_mask=valid)
-        with open(out_dir / "oracle.csv", "w", newline="") as fh:
-            fh.write(",".join(["t"] + [f.name for f in fields(metrics)]) + "\n")
-            fh.write(",".join(_fmt(v) for v in (t_final,) + astuple(metrics)) + "\n")
+        _write_csv(out_dir / "oracle.csv", ["t"] + [f.name for f in fields(metrics)],
+                   [(t_final,) + astuple(metrics)])
         sys.stdout.write(
             f"oracle: l2={metrics.l2:.3e} masked_linf={metrics.masked_linf:.3e} "
             f"phase={metrics.phase_masked_maxabs:.3e} -> {out_dir}\n")
@@ -371,11 +378,9 @@ def cmd_covariance(args) -> int:
     # after the sweep, which checks the elements and the grid, and
     # takes milliseconds
     out_dir = _make_out_dir(args, sc)
-    with open(out_dir / "covariance.csv", "w", newline="") as fh:
-        fh.write("formalism,g1,g2,a,v,t,phase_re,phase_im,"
-                 "predicted_re,predicted_im,angle_error,residual,leakage\n")
-        for r in rows:
-            fh.write(",".join(v if isinstance(v, str) else _fmt(v) for v in r) + "\n")
+    _write_csv(out_dir / "covariance.csv",
+               ("formalism,g1,g2,a,v,t,phase_re,phase_im,"
+                "predicted_re,predicted_im,angle_error,residual,leakage").split(","), rows)
     write_manifest(sc, out_dir)
     sys.stdout.write(f"covariance: {len(rows)} rows, worst deviation "
                      f"{worst:.3e} -> {out_dir}\n")

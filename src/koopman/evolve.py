@@ -2,9 +2,10 @@
 
 The generator splits as H = T + V, and each part is one exact flow: the
 formalism's assignment rule applied to it on ``layout(grid, masses,
-formalism)`` (T is ``ccr.time_translation`` there), with the masses, dt
-and constants folded in as exact fractions, and turned into FFT axes and
-pointwise factors by ``flow_of``:
+formalism)`` (T is ``ccr.time_translation`` there, V the exact
+polynomial of ``make_potential``), with the masses and dt folded in as
+exact fractions, and turned into FFT axes and pointwise factors by
+``flow_of``:
 
   A(tau) = exp(-i tau rule(sum p^2/2m + sum k^2/2m))   (q- and x-spectral)
   B(dt)  = exp(-i dt rule(V))                          (p-spectral)
@@ -13,9 +14,10 @@ A streams q by p tau/m and B kicks p by -dV/dq dt; in kvh and hybrid
 the rule's scalar f - p df/dp adds exp(+i tau p^2/2m) and exp(-i dt V),
 and on x it is the multiplication by exp(-i tau k^2/2m).
 
-A plan is a flat list of flows (FFT axes and multiplier factors); a
-step is the palindromic A(dt/2) B(dt) A(dt/2) (Strang, second order),
-and plans without a V part are the single A(dt), exact for any dt.
+A plan holds each flow (FFT axes and multiplier factors) once, and
+``apply`` runs them, for steps and ``galilei.act`` alike; a step is the
+palindromic A(dt/2) B(dt) A(dt/2) (Strang, second order), and plans
+without a V part are the single A(dt), exact for any dt.
 Between samples ``run`` merges the trailing A(dt/2) of a step with the
 leading one of the next into A(dt) ("first same as last"), so a step
 costs two FFT pairs.  Every flow is unitary up to rounding, so norms
@@ -79,20 +81,14 @@ class NumericalAbort(RuntimeError):
         self.since = since
 
 
-@dataclass(frozen=True)
-class Potential:
-    """Polynomial potential over the grid's q (and x) coordinates."""
-    cpoly: CPoly | None          # None for free
-    constants: dict
-
-    def values(self, grid: GridSpec) -> np.ndarray | float:
-        if self.cpoly is None:
-            return 0.0
-        return self.cpoly.evaluate({**grid.coordinate_bindings(), **self.constants}).real
+# the one constant each potential family reads, 1 unless given
+_CONSTANT = {"harmonic": "kappa", "quartic": "alpha", "pair": "kappa", "hybrid_pair": "kappa"}
 
 
-def make_potential(kind: str, grid: GridSpec, constants: Mapping | None = None) -> Potential:
-    """Named potential families over a grid's coordinates.
+def make_potential(kind: str, grid: GridSpec, constants: Mapping | None = None) -> CPoly | None:
+    """A named potential family as one exact polynomial over the grid's q
+    and x coordinates, its constant folded in as a fraction; None for free.
+    A constant the family does not read is an error.
 
     harmonic:    kappa/2 sum q^2        (any number of q axes)
     quartic:     alpha/4 sum q^4
@@ -100,36 +96,31 @@ def make_potential(kind: str, grid: GridSpec, constants: Mapping | None = None) 
     hybrid_pair: kappa/2 (q - x)^2      (one q and one x axis), both from
                  exactpoly.pair_potential, as the exact suites build them
     """
-    constants = {k: float(v) for k, v in (constants or {}).items()}
-    if kind == "free":
-        return Potential(None, constants)
+    if kind != "free" and kind not in _CONSTANT:
+        raise ValueError(f"unsupported potential kind {kind!r}")
+    constants, name = constants or {}, _CONSTANT.get(kind)
+    unread = [k for k in constants if k != name]
+    if unread:
+        raise ValueError(f"potential {kind!r} reads no {unread[0]!r}")
+    if name is None:
+        return None
+    c = Fraction(constants.get(name, 1))
 
     qnames = grid.names("q")
     xnames = grid.names("x")
-    default = {"quartic": "alpha"}.get(kind, "kappa")
-    constants.setdefault(default, 1.0)
-    symbols = tuple(constants) + qnames + xnames
-    var = lambda n: CPoly.variable(symbols, n)
-
+    symbols = qnames + xnames
+    total = lambda powers: sum(powers, CPoly.constant(symbols, 0))
     if kind == "harmonic":
-        V = CPoly.constant(symbols, 0)
-        for qn in qnames:
-            V = V + var("kappa") * var(qn) * var(qn) / 2
-    elif kind == "quartic":
-        V = CPoly.constant(symbols, 0)
-        for qn in qnames:
-            V = V + var("alpha") * var(qn) ** 4 / 4
-    elif kind == "pair":
+        return total(CPoly.variable(symbols, n) ** 2 for n in qnames) * c / 2
+    if kind == "quartic":
+        return total(CPoly.variable(symbols, n) ** 4 for n in qnames) * c / 4
+    if kind == "pair":
         if len(qnames) != 2:
             raise ValueError("pair coupling needs exactly two q axes")
-        V = pair_potential(symbols, [qnames])
-    elif kind == "hybrid_pair":
-        if len(qnames) != 1 or len(xnames) != 1:
-            raise ValueError("hybrid coupling needs one q and one x axis")
-        V = pair_potential(symbols, [qnames + xnames])
-    else:
-        raise ValueError(f"unsupported potential kind {kind!r}")
-    return Potential(V, constants)
+        return pair_potential(symbols, [qnames], c)
+    if len(qnames) != 1 or len(xnames) != 1:
+        raise ValueError("hybrid coupling needs one q and one x axis")
+    return pair_potential(symbols, [qnames + xnames], c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,15 +217,16 @@ def flow_of(x: ccr.NCPoly, grid: GridSpec) -> tuple:
 
 @dataclass
 class PropagatorPlan:
-    """A grid-bound, palindromic flat list of exact flows making one step:
-    (A(dt/2), B(dt), A(dt/2)), or (A(dt),) when there is no V part."""
+    """A grid-bound step's exact flows, each held once: ``a`` maps a weight
+    w to A(w dt), for w = 0.5 and 1, or 1 alone when there is no V part,
+    and ``b`` is B(dt), or None without a V part."""
     grid: GridSpec
     formalism: str               # kvn | kvh | hybrid
     masses: tuple                # classical (per q axis) then quantum (per x axis)
-    potential: Potential
+    potential: CPoly | None
     dt: float
-    substeps: tuple = ()
-    _a: dict = field(default_factory=dict, repr=False)   # weight -> A flow
+    a: dict = field(repr=False)
+    b: Flow | None = field(repr=False)
 
 
 def layout(grid: GridSpec, masses: Sequence[float], formalism: str) -> ccr.Algebra:
@@ -257,7 +249,7 @@ def layout(grid: GridSpec, masses: Sequence[float], formalism: str) -> ccr.Algeb
 
 
 def build_plan(grid: GridSpec, formalism: str, masses: Sequence[float],
-               potential: Potential, dt: float,
+               potential: CPoly | None, dt: float,
                interaction: str = "full") -> PropagatorPlan:
     """The flows A and B of the module docstring, on ``layout(grid,
     masses, formalism)``.  ``interaction = "potential_only"`` keeps only
@@ -282,12 +274,10 @@ def build_plan(grid: GridSpec, formalism: str, masses: Sequence[float],
     A = lambda tau: flow(kinetic * (-I * Fraction(tau)))
 
     b = alg.zero()
-    if potential.cpoly is not None:
-        V = potential.cpoly
-        value = {**{k: Fraction(v) for k, v in potential.constants.items()},
-                 **{n: alg.observable(alg.name(letter[n])) for n in qn + xn}}
-        f = sum((math.prod((value[s] ** e for s, e in zip(V.symbols, expo)), start=c)
-                 for expo, c in V.terms.items()), 0)
+    if potential is not None:
+        value = {n: alg.observable(alg.name(letter[n])) for n in qn + xn}
+        f = sum((math.prod((value[s] ** e for s, e in zip(potential.symbols, expo)), start=c)
+                 for expo, c in potential.terms.items()), 0)
         b = alg.apply_rule(f, formalism) * (-I * Fraction(dt))
     if interaction == "potential_only":
         derivative = set(alg.generators[len(alg.generators) // 2:])
@@ -302,14 +292,20 @@ def build_plan(grid: GridSpec, formalism: str, masses: Sequence[float],
                 f"dt={dt} kicks {pname} by up to {shift:.3g}, more than "
                 f"half the axis extent; momentum will wrap within one step",
                 RuntimeWarning, stacklevel=2)
-    plan = PropagatorPlan(grid, formalism, masses, potential, float(dt))
-    if b.is_zero:
-        plan.substeps = (A(dt),)
-        return plan
-    plan._a = {w: A(w * dt) for w in (0.5, 1.0)}
-    plan._a[0.0] = None
-    plan.substeps = (plan._a[0.5], flow(b), plan._a[0.5])
-    return plan
+    weights = (1.0,) if b.is_zero else (0.5, 1.0)
+    return PropagatorPlan(grid, formalism, masses, potential, float(dt),
+                          {w: A(w * dt) for w in weights}, None if b.is_zero else flow(b))
+
+
+def apply(flows, w: Wavefunction, overwrite: bool = False) -> Wavefunction:
+    """The flows applied to ``w`` in order, skipping None.  ``w.values`` is
+    left unchanged unless ``overwrite`` is set; every flow after the first
+    reuses the memory of the one before it."""
+    v = w.values
+    for flow in flows:
+        if flow is not None:
+            v = flow.apply(v, overwrite=overwrite or v is not w.values)
+    return Wavefunction(w.grid, v)
 
 
 def step(w: Wavefunction, plan: PropagatorPlan, lead: float = 0.5,
@@ -323,16 +319,11 @@ def step(w: Wavefunction, plan: PropagatorPlan, lead: float = 0.5,
     the step reuse its memory (as ``Flow.apply`` does)."""
     if w.grid != plan.grid:
         raise ValueError("wavefunction grid does not match the plan")
-    flows = plan.substeps
-    if len(flows) == 3:
-        if lead not in plan._a or trail not in plan._a:
-            raise ValueError("lead and trail weights must be 0, 0.5 or 1")
-        flows = (plan._a[lead], flows[1], plan._a[trail])
-    v = w.values
-    for flow in flows:
-        if flow is not None:
-            v = flow.apply(v, overwrite=overwrite or v is not w.values)
-    return Wavefunction(plan.grid, v)
+    if plan.b is None:
+        return apply((plan.a[1.0],), w, overwrite)
+    if not {lead, trail} <= {0.0, *plan.a}:
+        raise ValueError("lead and trail weights must be 0, 0.5 or 1")
+    return apply((plan.a.get(lead), plan.b, plan.a.get(trail)), w, overwrite)
 
 
 @dataclass
@@ -348,12 +339,6 @@ class RunRecord:
     def series(self, name: str) -> np.ndarray:
         i = self.columns.index(name)
         return np.array([np.nan if r[i] is None else r[i] for r in self.rows])
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(self.columns) + "\n")
-            for r in self.rows:
-                fh.write(",".join("" if v is None else f"{v:.17g}" for v in r) + "\n")
 
 
 def _observables(w: Wavefunction, plan: PropagatorPlan) -> dict:
@@ -382,7 +367,7 @@ def _observables(w: Wavefunction, plan: PropagatorPlan) -> dict:
     p_mean = sum((mean(n, grid.coordinate(n)) for n in pn), 0.0)
     energy = sum((mean(n, grid.coordinate(n) ** 2) / (2 * m)
                   for n, m in zip(pn, plan.masses)), 0.0)
-    Vg = plan.potential.values(grid)
+    Vg = 0.0 if plan.potential is None else plan.potential.evaluate(grid.coordinate_bindings())
     if np.ndim(Vg):
         on = {i for i, n in enumerate(Vg.shape) if n > 1}
         energy += float(np.sum(summed(dens, on) * Vg)) * cw / nrm2

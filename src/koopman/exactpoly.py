@@ -436,10 +436,12 @@ def _exponent(e) -> int:
     return n
 
 
-def pair_potential(symbols: tuple, pairs) -> CPoly:
-    """V = kappa/2 sum (a - b)^2 over the symbol-name pairs (a, b)."""
+def pair_potential(symbols: tuple, pairs, kappa=None) -> CPoly:
+    """V = kappa/2 sum (a - b)^2 over the symbol-name pairs (a, b); kappa
+    is the symbol of that name unless given as a number."""
     var = lambda name: CPoly.variable(symbols, name)
-    return sum((var("kappa") * (var(a) - var(b)) ** 2 / 2 for a, b in pairs),
+    kappa = var("kappa") if kappa is None else kappa
+    return sum((kappa * (var(a) - var(b)) ** 2 / 2 for a, b in pairs),
                CPoly.constant(symbols, 0))
 
 

@@ -6,7 +6,8 @@ times its exact parameter, on the algebra of the grid's layout
 quantum particle per x axis, masses folded in), with the formalism's
 rule (non-projective kvn, projective kvh and hybrid).  ``act`` turns X
 into grid flows with ``evolve.flow_of``, the rule the propagator builds
-its plans with: the terms D of X that are diagonal once X's derivative
+its plans with, and applies them with ``evolve.apply``, the loop its
+steps run: the terms D of X that are diagonal once X's derivative
 axes are transformed, and a multiplication M with a central [D, M], give
 
     e^X = e^(M + [D, M]/2) e^D.
@@ -30,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import ccr
-from .evolve import flow_of
+from .evolve import apply, flow_of
 from .exactpoly import I
 from .grid import Wavefunction, inner_product, leakage, norm
 
@@ -59,11 +60,9 @@ def free_time(t: float, formalism: str, alg: ccr.Algebra) -> ccr.NCPoly:
 
 def act(x: ccr.NCPoly, w: Wavefunction) -> Wavefunction:
     """Apply e^X through ``evolve.flow_of``, which refuses a grid that does
-    not match X's layout; unitary up to rounding."""
-    v = w.values
-    for flow in flow_of(x, w.grid):
-        v = flow.apply(v, overwrite=v is not w.values)
-    return Wavefunction(w.grid, v)
+    not match X's layout, and ``evolve.apply``, the propagator's loop;
+    unitary up to rounding."""
+    return apply(flow_of(x, w.grid), w)
 
 
 # ---------------------------------------------------------------------------

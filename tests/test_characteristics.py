@@ -266,13 +266,13 @@ def _column_flow(masses, potential, qnames, seeds, t_final, steps):
     masses = np.asarray(masses, dtype=float)
     twice_masses = 2 * masses
     h = t_final / steps
-    if potential.cpoly is None:
+    if potential is None:
         V, forces = None, []
     else:
-        V = potential.cpoly.compile()
-        grads = enumerate(potential.cpoly.partial(name) for name in qnames)
+        V = potential.compile()
+        grads = enumerate(potential.partial(name) for name in qnames)
         forces = [(d, g.compile()) for d, g in grads if not g.is_zero]
-    bindings = dict(potential.constants)
+    bindings = {}
 
     Q = seeds[:, :npair].copy()
     P = seeds[:, npair:].copy()

@@ -216,6 +216,19 @@ def test_config_errors(tmp_path, capsys):
          "[dynamics]: unknown formalism 'quantum'"),
         ("covariance", weyl, (("masses = 1.0\n", ""),),
          "config error: missing key 'masses' in section [dynamics]\n"),
+        # a missing key reads the same in every section and run kind
+        ("evolve", "scenarios/free_kvh.cfg", (("masses = 1.0\n", ""),),
+         "config error: missing key 'masses' in section [dynamics]\n"),
+        ("evolve", "scenarios/free_kvh.cfg", (("[axis.q]\nmin = -8.0\n", "[axis.q]\n"),),
+         "config error: missing key 'min' in section [axis.q]\n"),
+        # each potential family reads its one constant and refuses any other
+        ("evolve", "scenarios/harmonic_kvh.cfg", (("kappa = 1.0", "kappa = 1.0\nalpha = 7.0"),),
+         "[dynamics]: potential 'harmonic' reads no 'alpha'"),
+        ("evolve", "scenarios/free_kvh.cfg", (("potential = free", "potential = free\nkappa = 3.0"),),
+         "[dynamics]: potential 'free' reads no 'kappa'"),
+        # dump_state takes configparser's boolean words only
+        ("evolve", "scenarios/free_kvh.cfg", (("dump_state = true", "dump_state = ture"),),
+         "bad value for 'dump_state' in [output]: 'ture'"),
         ("covariance", weyl_kvn, (("sweep_v = 1.3", "sweep_v = inf"),),
          "bad value for 'sweep_v' in [transform]: 'inf' (must be finite)"),
         ("covariance", weyl_kvn, (("sweep_a = 0.7\n", ""),),

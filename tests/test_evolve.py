@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from koopman import cli
 from koopman import evolve as ev
 from koopman.grid import (Axis, GridSpec, Wavefunction, _storage, dump_state, gaussian_init,
                           inner_product, leakage, load_state, norm, set_fft_workers)
@@ -18,8 +19,16 @@ GRID = make_grid()
 W0 = gaussian_init(GRID, centers=(0.0, 2.0), widths=(1.0, 1.0))
 
 
+def _step_flows(plan, lead=0.5, trail=0.5):
+    """The flows one step applies, in order: A(lead dt) B(dt) A(trail dt),
+    a weight of 0 leaving its flow out, or A(dt) alone without B."""
+    if plan.b is None:
+        return [plan.a[1.0]]
+    return [f for f in (plan.a.get(lead), plan.b, plan.a.get(trail)) if f is not None]
+
+
 def _flows(plan):
-    return [f.axes for f in plan.substeps]
+    return [f.axes for f in _step_flows(plan)]
 
 
 def test_plan_shapes():
@@ -44,8 +53,10 @@ def test_plan_shapes():
     assert _flows(plan) == [(0, 2), (1,), (0, 2)]
     # multipliers stay in their broadcast shapes: one (q, p) factor and
     # one x factor for A, one full factor for B
-    assert [f.shape for f in plan.substeps[0].factors] == [(32, 32, 1), (1, 1, 32)]
-    assert [f.shape for f in plan.substeps[1].factors] == [(32, 32, 32)]
+    assert [f.shape for f in plan.a[0.5].factors] == [(32, 32, 1), (1, 1, 32)]
+    assert [f.shape for f in plan.b.factors] == [(32, 32, 32)]
+    # each flow is held once, under its weight
+    assert sorted(plan.a) == [0.5, 1.0]
     assert _flows(ev.build_plan(g3, "hybrid", [1.0, 1.0], ev.make_potential("free", g3),
                                 0.01)) == [(0, 2)]
 
@@ -68,7 +79,8 @@ def random_plans(draw):
     g = GridSpec(tuple(Axis(a, -4.0, 8.0, draw(st.sampled_from((8, 16)))) for a in axes))
     kind = draw(st.sampled_from(
         ["free", "harmonic", "quartic"] + {4: ["pair"], 3: ["hybrid_pair"]}.get(len(axes), [])))
-    constants = {"kappa": draw(st.floats(0.1, 2.0)), "alpha": draw(st.floats(0.1, 2.0))}
+    kappa, alpha = draw(st.floats(0.1, 2.0)), draw(st.floats(0.1, 2.0))
+    constants = {"free": {}, "quartic": {"alpha": alpha}}.get(kind, {"kappa": kappa})
     masses = [draw(st.floats(0.3, 3.0)) for _ in range(len(axes) - len(g.names("p")))]
     interaction = draw(st.sampled_from(
         ("full",) if formalism == "kvn" else ("full", "potential_only")))
@@ -100,14 +112,14 @@ def _closed_form_flows(plan, interaction):
         return tuple(g.index(n) for n in qn + xn), factors
 
     terms, axes = [], ()
-    if pot.cpoly is not None and interaction == "full":
-        bindings = {**g.coordinate_bindings(), **pot.constants}
+    bindings = g.coordinate_bindings()
+    if pot is not None and interaction == "full":
         for qname, pname in zip(qn, pn):
-            force = -pot.cpoly.partial(qname).evaluate(bindings)
+            force = -pot.partial(qname).evaluate(bindings)
             terms.append(g.wavenumber(pname) * force)
             axes += (g.index(pname),)
-    if plan.formalism != "kvn" and pot.cpoly is not None:
-        terms.append(pot.values(g))
+    if plan.formalism != "kvn" and pot is not None:
+        terms.append(pot.evaluate(bindings))
     b = (axes, [np.exp(-1j * plan.dt * sum(terms))]) if terms else None
     return a(plan.dt / 2), a(plan.dt), b
 
@@ -122,14 +134,15 @@ def test_plan_flows_match_closed_forms(case):
     g = plan.grid
     half, full, b = _closed_form_flows(plan, interaction)
     if b is None:
-        assert len(plan.substeps) == 1
-        cases = [(plan.substeps[0], full)]
+        assert plan.b is None and list(plan.a) == [1.0]
+        cases = [(plan.a[1.0], full)]
     else:
-        cases = [(plan._a[0.5], half), (plan._a[1.0], full), (plan.substeps[1], b)]
+        assert sorted(plan.a) == [0.5, 1.0]
+        cases = [(plan.a[0.5], half), (plan.a[1.0], full), (plan.b, b)]
     for flow, (axes, ref) in cases:
         assert flow.axes == axes
         got = list(flow.factors)
-        if b and flow is plan.substeps[1] and kind in ("harmonic", "quartic") and len(g.shape) == 4:
+        if b and flow is plan.b and kind in ("harmonic", "quartic") and len(g.shape) == 4:
             # V separates over the two pairs, so B's terms form one group
             # per pair: one factor each, whose product is the closed form
             pairs = [{g.index(q), g.index(p)} if axes else {g.index(q)}
@@ -150,7 +163,8 @@ def test_plans_are_palindromic():
         g = make_grid(axes, 32)
         pot = ev.make_potential(pot_kind, g)
         plan = ev.build_plan(g, formalism, masses, pot, 0.01)
-        assert list(plan.substeps) == list(reversed(plan.substeps))
+        flows = _step_flows(plan)
+        assert len(flows) == 3 and flows == flows[::-1]
 
 
 # formalism -> (grid axes, masses, potential kinds) for the property tests
@@ -412,7 +426,7 @@ def test_run_record_csv(tmp_path):
     plan = ev.build_plan(GRID, "kvn", [1.0], pot, dt=0.1)
     rec, _ = ev.run(W0, plan, 0.2, sample_every=1)
     path = tmp_path / "run.csv"
-    rec.to_csv(path)
+    cli._write_csv(path, rec.columns, rec.rows)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,norm,q_mean,p_mean,k_mean,energy,im_max,leakage"
     assert len(lines) == 4  # header + t=0 + 2 samples
@@ -434,7 +448,8 @@ def _full_grid_observables(w, plan):
            "im_max": np.max(np.abs(w.values.imag)), "leakage": leakage(w)}
     energy = sum(np.sum(dens * grid.coordinate(n) ** 2) / (2 * m)
                  for n, m in zip(pn, plan.masses)) / nrm2
-    energy += np.sum(dens * plan.potential.values(grid)) / nrm2
+    if plan.potential is not None:
+        energy += np.sum(dens * plan.potential.evaluate(grid.coordinate_bindings())) / nrm2
     if xn:
         out["k_mean"] = 0.0
         for xname, m in zip(xn, plan.masses[len(pn):]):
@@ -460,7 +475,9 @@ def sampled_states(draw):
     g = GridSpec(tuple(Axis(n, draw(st.floats(-9.0, 1.0)), draw(st.floats(2.0, 18.0)), points)
                        for n in names))
     masses = [draw(st.floats(0.2, 5.0)) for n in names if n[0] in "qx"]
-    pot = ev.make_potential(kind, g, {"kappa": draw(st.floats(0.1, 3.0)), "alpha": 0.5})
+    kappa = draw(st.floats(0.1, 3.0))
+    constants = {"free": {}, "quartic": {"alpha": 0.5}}.get(kind, {"kappa": kappa})
+    pot = ev.make_potential(kind, g, constants)
     plan = ev.build_plan(g, formalism, masses, pot, 1e-3)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     values = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
@@ -491,10 +508,7 @@ def test_observables_match_full_grid_definitions(case):
 def _reference_step(values, plan, lead, trail):
     """evolve.step on contiguous arrays: np.fft over the axes reversed and
     a new product with each factor's grid-shaped view."""
-    flows = plan.substeps
-    if len(flows) == 3:
-        flows = (plan._a[lead], flows[1], plan._a[trail])
-    for flow in filter(None, flows):
+    for flow in _step_flows(plan, lead, trail):
         axes = flow.axes[::-1]
         if axes:
             values = np.fft.fftn(values, axes=axes)
@@ -553,7 +567,7 @@ def layout_cases(draw):
 def test_padded_layout_matches_contiguous_reference(case, tmp_path_factory):
     plan, w, lead, trail, overwrite, workers, nsteps, sample_every = case
     # every factor is the leading view of padded storage whose padding is zero
-    for flow in filter(None, (*plan.substeps, *plan._a.values())):
+    for flow in filter(None, (*plan.a.values(), plan.b)):
         for f in flow.factors:
             assert np.count_nonzero(_storage(f)) == f.size
     set_fft_workers(workers)
